@@ -6,7 +6,9 @@ general-versus-shaken) are recomputed from the comb calculus at exact
 rational abscissa points and matched against their published closed forms:
 the two n = 4 displays, the n = 5 cone decomposition (18 + 6 coefficients
 with the Lin-interpolated helper polynomials P0..P8), and the n = 5
-quadratic forms with their leading-principal-minor factorizations.  Every
+quadratic forms with their leading-principal-minor factorizations.  The
+cubic form's matrices M^(k) are read off the cone table: M^(k) is four times
+row k of the 18 constant-part coefficients.  Every
 "> 0" claim is certified by a sum-of-nonnegative-monomials argument on the
 ordered simplex 0 < x1 < x2 < x3 < 1, with endpoint-linear recursion for
 degree-1 factors; dense sampling is only ever reported, never silently
@@ -18,12 +20,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
 from .poly import MultiPoly, divide_exact, grid_identity_check
 from .rationals import to_fraction
-from .segments import profile_to_offsets, symmetrized_integrand
+from .segments import U0, U1, profile_to_offsets, symmetrized_integrand
 
 X1, X2, X3 = "x1", "x2", "x3"
 XVARS = (X1, X2, X3)
@@ -35,6 +38,12 @@ def _var(name):
 
 def _c(value):
     return MultiPoly.constant(to_fraction(value))
+
+
+class StructureError(Exception):
+    """A recomputed difference lacks a structural property the certificates
+    rest on (degree cap, beta parity, absent symbols).  An internal fault,
+    not bad input, hence not a ValueError."""
 
 
 # -- reports ---------------------------------------------------------------
@@ -102,7 +111,7 @@ def symbolic_difference(N, x, kind):
     ``kind`` is "majoration" (symmetric family minus general family) or
     "minoration" (general family minus shaken family).  ``x`` holds the N
     interior abscissas, numeric rationals; the result is a polynomial in
-    l0, l1, a, b and the per-slice lam_j / beta_j symbols.
+    l0, l1 and the per-slice lam_j / beta_j symbols.
     """
     if N not in (2, 3):
         raise ValueError("N must be 2 or 3")
@@ -113,13 +122,12 @@ def symbolic_difference(N, x, kind):
         raise ValueError("abscissas must lie strictly inside (0, 1)")
     xbar = [Fraction(0)] + x + [Fraction(1)]
     l0, l1 = _var("l0"), _var("l1")
-    a, b = _var("a"), _var("b")
     lam = [_var(f"lam{j}") for j in range(1, N + 1)]
     beta = [_var(f"beta{j}") for j in range(1, N + 1)]
     L = [l0 + (l1 - l0) * xb for xb in xbar[1:-1]]
 
     def G(lp, lm):
-        return symmetrized_integrand(xbar, lp, lm, a, b)
+        return symmetrized_integrand(xbar, lp, lm)
 
     if kind == "majoration":
         top = [L[j] + lam[j] for j in range(N)]
@@ -135,25 +143,28 @@ def symbolic_difference(N, x, kind):
     else:
         raise ValueError("kind must be 'majoration' or 'minoration'")
 
-    _assert_structure(diff, N, kind)
+    _check_structure(diff, N, kind)
     return diff
 
 
-def _assert_structure(diff, N, kind):
-    n = N + 2
-    assert diff.total_degree() <= n, "degree cap exceeded"
+def _check_structure(diff, N, kind):
+    if diff.total_degree() > N + 2:
+        raise StructureError("degree cap exceeded")
     beta_names = [f"beta{j}" for j in range(1, N + 1)]
-    for exps, _ in diff.terms.items():
+    for exps in diff.terms:
         beta_deg = sum(
             e
             for name, e in zip(diff.variables, exps)
             if name in beta_names
         )
-        assert beta_deg % 2 == 0, "odd beta-degree term survived"
+        if beta_deg % 2:
+            raise StructureError("odd beta-degree term survived")
+    absent = {U0, U1}
     if kind == "majoration" and N == 2:
-        used = diff.used_variables()
-        assert not used & {"a", "b", "l0", "l1"}, (
-            "N=2 majoration difference should not involve a, b, l0, l1"
+        absent |= {"l0", "l1"}
+    if diff.used_variables() & absent:
+        raise StructureError(
+            f"{kind} difference should not involve {', '.join(sorted(absent))}"
         )
 
 
@@ -173,9 +184,11 @@ def to_slope_variables(diff, x, N=3):
 
 def _split_l0_l1(diff, scale):
     """Split diff = scale*(l0*part0 + l1*part1 + part2); degree checks."""
-    assert diff.degree("l0") <= 1 and diff.degree("l1") <= 1
+    if diff.degree("l0") > 1 or diff.degree("l1") > 1:
+        raise StructureError("difference is not linear in l0 and l1")
     part0 = diff.coefficient_poly("l0", 1)
-    assert part0.degree("l1") == 0, "unexpected l0*l1 cross term"
+    if part0.degree("l1"):
+        raise StructureError("unexpected l0*l1 cross term")
     part0 = part0.coefficient_poly("l1", 0)
     rest = diff.coefficient_poly("l0", 0)
     part1 = rest.coefficient_poly("l1", 1)
@@ -214,25 +227,13 @@ class LinHelper:
     value_b: MultiPoly
 
     def symbolic(self) -> MultiPoly:
+        return self._symbolic
+
+    @cached_property
+    def _symbolic(self):
         return linear_reconstruct(
             self.var, self.end_a, self.value_a, self.end_b, self.value_b
         )
-
-    def evaluate(self, xs) -> Fraction:
-        ea = (
-            self.end_a.evaluate(xs)
-            if isinstance(self.end_a, MultiPoly)
-            else to_fraction(self.end_a)
-        )
-        eb = (
-            self.end_b.evaluate(xs)
-            if isinstance(self.end_b, MultiPoly)
-            else to_fraction(self.end_b)
-        )
-        va = self.value_a.evaluate(xs)
-        vb = self.value_b.evaluate(xs)
-        t = xs[self.var]
-        return va + (t - ea) * (vb - va) / (eb - ea)
 
 
 def _helpers():
@@ -266,13 +267,6 @@ def _helpers():
     lin("P8", X1, 0,
         x2 * ((x2 * x3 - x2) ** 2 + x3 * (one - x2) * (x3 - x2)), x2,
         x2 * (one - x2) * (-x2 * x3 - x2 + 2 * x3) * (x3 - x2))
-    # Endpoint locations of the Lin(x1) helpers are 0 and x2.
-    for name in ("P0", "P4", "P5", "P6", "P7", "P8"):
-        h = tbl[name]
-        tbl[name] = LinHelper(name, h.var, Fraction(0), h.value_a, x2, h.value_b)
-    for name in ("P1", "P2", "P3"):
-        h = tbl[name]
-        tbl[name] = LinHelper(name, h.var, x2, h.value_a, Fraction(1), h.value_b)
     return tbl
 
 
@@ -287,12 +281,16 @@ def _xvals(x):
     return {"x1": x1, "x2": x2, "x3": x3}
 
 
+def _lin_values(helpers, xs):
+    return {name: h.symbolic().evaluate(xs) for name, h in helpers.items()}
+
+
 def cone_coefficients_d2(x):
     """The 18 coefficients c_{k,(i,j)} of the shaken-difference constant
     part, keyed by (k, i, j) with i <= j."""
     xs = _xvals(x)
     x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    P = {name: HELPERS[name].evaluate(xs) for name in HELPERS}
+    P = _lin_values(HELPERS, xs)
     return {
         (1, 1, 1): 2 * x1**3 * (1 - x3) * (1 - x2) * (x3 - x1) / x3,
         (1, 1, 2): P["P0"] * (1 - x3) * x1**2 / x3,
@@ -320,7 +318,7 @@ def cone_coefficients_d1(x):
     """The 6 coefficients c_{(i,j)} of the l1 part, keyed by (i, j), i <= j."""
     xs = _xvals(x)
     x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    P = {name: HELPERS[name].evaluate(xs) for name in HELPERS}
+    P = _lin_values(HELPERS, xs)
     return {
         (1, 1): 2 * x1**2 * P["P6"] / (x2 * x3),
         (1, 2): 2 * x1**2 * P["P7"] / ((1 - x1) * x3),
@@ -500,7 +498,7 @@ def quadratic_form_matrix_N(x):
     """Symmetric matrix N with f1 = q^T (4 (1-x3)(x3-x1) x1 / x3) N q."""
     xs = _xvals(x)
     x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    P = {name: HELPERS[name].evaluate(xs) for name in HELPERS}
+    P = _lin_values(HELPERS, xs)
     n11 = 2 * x1 * (1 - x2)
     n12 = P["P0"] / (x3 - x1)
     n13 = 2 * (1 - x3) * x2
@@ -510,43 +508,11 @@ def quadratic_form_matrix_N(x):
     return ((n11, n12, n13), (n12, n22, n23), (n13, n23, n33))
 
 
-def quadratic_form_matrix_M1(x):
-    """M^(1) = 4 (1-x3)^2 / x3 * N' with the published N' entries."""
-    xs = _xvals(x)
-    x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    P = {name: HELPERS[name].evaluate(xs) for name in HELPERS}
-    n11 = 2 * x1**3 * (x3 - x1) * (1 - x2) / (1 - x3)
-    n12 = P["P0"] * x1**2 / (1 - x3)
-    n13 = 2 * x1**2 * x2 * (x3 - x1)
-    n22 = 2 * P["P1"] * x1 / ((1 - x3) * (1 - x1))
-    n23 = 2 * P["P2"] * x1 / (1 - x1)
-    n33 = 2 * P["P3"] * x1 * x3 / ((1 - x2) * (1 - x1))
-    scale = 4 * (1 - x3) ** 2 / x3
-    return _scale_matrix(
-        ((n11, n12, n13), (n12, n22, n23), (n13, n23, n33)), scale
-    )
-
-
-def quadratic_form_matrix_M2(x):
-    xs = _xvals(x)
-    x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    P = {name: HELPERS[name].evaluate(xs) for name in HELPERS}
-    m11 = P["P4"] * x1**2 * (1 - x3) / x3
-    m12 = 2 * x1**2 * (1 - x3) * (1 - x2) * P["P5"] / ((1 - x1) * x3)
-    m13 = 2 * x1**2 * (1 - x3) ** 2 * P["P5"] / ((1 - x1) * x3)
-    m22 = (1 - x3) * x1 * P["P0"] * P["P5"] / (x3 * (1 - x1) * (x3 - x1))
-    m23 = 2 * x1 * (1 - x3) ** 2 * x2 * P["P5"] / ((1 - x1) * x3)
-    m33 = P["P4"] * (1 - x3) ** 2 * x1 / (1 - x1)
-    return _scale_matrix(
-        ((m11, m12, m13), (m12, m22, m23), (m13, m23, m33)), Fraction(4)
-    )
-
-
-def quadratic_form_matrix_M3(x):
-    """Mirror of M^(1): reflect the abscissas and reverse the slice order."""
-    m = quadratic_form_matrix_M1(mirror_x(x))
+def _cone_matrix(table, k):
+    """M^(k): four times row k of the cone table, symmetrically completed."""
     return tuple(
-        tuple(m[2 - i][2 - j] for j in range(3)) for i in range(3)
+        tuple(4 * table[(k, min(i, j), max(i, j))] for j in (1, 2, 3))
+        for i in (1, 2, 3)
     )
 
 
@@ -666,7 +632,7 @@ _LIN_INTERVALS = {
 }
 
 
-def positivity_check(expr: MultiPoly, domain="order-simplex", _depth=0) -> PositivityVerdict:
+def positivity_check(expr: MultiPoly, _depth=0) -> PositivityVerdict:
     """Certify strict positivity on the open ordered simplex
     0 < x1 < x2 < x3 < 1.
 
@@ -675,8 +641,6 @@ def positivity_check(expr: MultiPoly, domain="order-simplex", _depth=0) -> Posit
     {v, 1-v} product basis), endpoint-linear recursion for expressions of
     degree 1 in some x_j, and finally dense rational sampling (which can
     only report, or refute with a witness)."""
-    if domain != "order-simplex":
-        raise ValueError("only the ordered x-simplex domain is supported")
     if not expr.used_variables() <= set(XVARS):
         raise ValueError("positivity domain is the x-simplex only")
     if expr.is_zero():
@@ -693,7 +657,7 @@ def positivity_check(expr: MultiPoly, domain="order-simplex", _depth=0) -> Posit
                 ok = True
                 for end in (lo, hi):
                     sub = expr.substitute({var: end})
-                    verdict = positivity_check(sub, domain, _depth + 1)
+                    verdict = positivity_check(sub, _depth + 1)
                     if not verdict.certified:
                         ok = False
                         break
@@ -747,7 +711,7 @@ def default_x_triples(count=30):
 
 _N4_BOUNDS = {
     "lam1": 4, "lam2": 4, "beta1": 4, "beta2": 4,
-    "a": 4, "b": 4, "l0": 4, "l1": 4,
+    "l0": 4, "l1": 4,
 }
 
 
@@ -794,11 +758,7 @@ def verify_n5_cone(points=None) -> CertificateReport:
     d2_ok = d1_ok = d0_ok = True
     d2_detail = d1_detail = None
     for x in points:
-        diff = symbolic_difference(3, x, "minoration")
-        assert not diff.used_variables() & {"a", "b"}, (
-            "shaking difference should not involve the extreme ordinates"
-        )
-        diff = to_slope_variables(diff, x)
+        diff = to_slope_variables(symbolic_difference(3, x, "minoration"), x)
         d0, d1, d2 = _split_l0_l1(diff, 4)
         table2 = cone_coefficients_d2(x)
         if d2 != _cone_cubic(table2, p, q):
@@ -838,33 +798,31 @@ def verify_n5_cone(points=None) -> CertificateReport:
     report.identity_checks.append(
         IdentityCheck("n5 cone: l0 part (mirror of l1)", npts, d0_ok)
     )
-    report.positivity_checks.extend(_helper_positivity_checks())
+    report.positivity_checks.extend(
+        _lin_positivity(HELPERS, "", "on the simplex")
+    )
     report.positivity_checks.extend(_prefactor_positivity_checks())
     return report
 
 
-def _helper_positivity_checks():
-    checks = []
-    for name in sorted(HELPERS):
-        helper = HELPERS[name]
-        for side, value in (("low", helper.value_a), ("high", helper.value_b)):
-            verdict = positivity_check(value)
-            checks.append(
-                PositivityCheck(
-                    f"{name} endpoint ({side})",
-                    verdict.method or "sampled-only",
-                    verdict.certified,
-                )
-            )
-        verdict = positivity_check(helper.symbolic())
-        checks.append(
-            PositivityCheck(
-                f"{name} on the simplex",
-                verdict.method or "sampled-only",
-                verdict.certified,
-            )
+def _positivity(name, expr):
+    verdict = positivity_check(expr)
+    return PositivityCheck(
+        name, verdict.method or "sampled-only", verdict.certified
+    )
+
+
+def _lin_positivity(helpers, prefix, whole):
+    """Both endpoint values of each Lin helper, then the helper itself."""
+    return [
+        _positivity(f"{prefix}{name} {label}", expr)
+        for name, h in sorted(helpers.items())
+        for label, expr in (
+            ("endpoint (low)", h.value_a),
+            ("endpoint (high)", h.value_b),
+            (whole, h.symbolic()),
         )
-    return checks
+    ]
 
 
 def _prefactor_positivity_checks():
@@ -883,17 +841,7 @@ def _prefactor_positivity_checks():
         "x3-x1": x3 - x1,
         "x3-x2": x3 - x2,
     }
-    checks = []
-    for name, expr in atoms.items():
-        verdict = positivity_check(expr)
-        checks.append(
-            PositivityCheck(
-                f"prefactor atom {name}",
-                verdict.method or "sampled-only",
-                verdict.certified,
-            )
-        )
-    return checks
+    return [_positivity(f"prefactor atom {n}", e) for n, e in atoms.items()]
 
 
 def verify_n5_quadratic(points=None) -> CertificateReport:
@@ -909,9 +857,7 @@ def verify_n5_quadratic(points=None) -> CertificateReport:
     f1_ok = f2_ok = f3_ok = m_ok = m3_ok = True
     minor_ok = {k: True for k in _MINOR_CASES}
     for x in points:
-        diff = symbolic_difference(3, x, "majoration")
-        assert not diff.used_variables() & {"a", "b"}
-        f1, f2, f3 = _split_l0_l1(diff, 1)
+        f1, f2, f3 = _split_l0_l1(symbolic_difference(3, x, "majoration"), 1)
         if f1 != f1_display(x):
             f1_ok = False
         if f3 != f3_display(x):
@@ -926,11 +872,8 @@ def verify_n5_quadratic(points=None) -> CertificateReport:
         m_full = _scale_matrix(quadratic_form_matrix_N(x), scale)
         if f1_q != _quadratic_poly(m_full, q):
             m_ok = False
-        ms = (
-            quadratic_form_matrix_M1(x),
-            quadratic_form_matrix_M2(x),
-            quadratic_form_matrix_M3(x),
-        )
+        table2 = cone_coefficients_d2(x)
+        ms = tuple(_cone_matrix(table2, k) for k in (1, 2, 3))
         rhs = _c(0)
         for i in range(3):
             rhs = rhs + p[i] * _quadratic_poly(ms[i], q)
@@ -958,7 +901,9 @@ def verify_n5_quadratic(points=None) -> CertificateReport:
         report.identity_checks.append(
             IdentityCheck(f"minor factorization: {name}", npts, ok)
         )
-    report.positivity_checks.extend(_minor_positivity_checks())
+    report.positivity_checks.extend(
+        _lin_positivity(_MINOR_G, "minor ", "factor on the simplex")
+    )
     return report
 
 
@@ -1020,8 +965,8 @@ def _check_minor_factorizations(x, ms):
     form at one numeric x point."""
     xs = _xvals(x)
     x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    P = {name: HELPERS[name].evaluate(xs) for name in HELPERS}
-    g = {name: h.evaluate(xs) for name, h in _MINOR_G.items()}
+    P = _lin_values(HELPERS, xs)
+    g = _lin_values(_MINOR_G, xs)
     n = quadratic_form_matrix_N(x)
     m1 = _scale_matrix(ms[0], x3 / (4 * (1 - x3) ** 2))
     m2 = ms[1]
@@ -1061,30 +1006,6 @@ def _check_minor_factorizations(x, ms):
     return out
 
 
-def _minor_positivity_checks():
-    checks = []
-    for name in sorted(_MINOR_G):
-        helper = _MINOR_G[name]
-        for side, value in (("low", helper.value_a), ("high", helper.value_b)):
-            verdict = positivity_check(value)
-            checks.append(
-                PositivityCheck(
-                    f"minor {name} endpoint ({side})",
-                    verdict.method or "sampled-only",
-                    verdict.certified,
-                )
-            )
-        verdict = positivity_check(helper.symbolic())
-        checks.append(
-            PositivityCheck(
-                f"minor {name} factor on the simplex",
-                verdict.method or "sampled-only",
-                verdict.certified,
-            )
-        )
-    return checks
-
-
 def verify_all(points=None, grid_size=6) -> CertificateReport:
     report = verify_n4(grid_size)
     report.merge(verify_n5_cone(points))
@@ -1120,7 +1041,7 @@ def compa_violation_witness(x=None, tries=4000, seed=0):
         qs = slope_profile(full_b, xbar)
         if all(abs(qj) <= pj for pj, qj in zip(ps, qs)):
             continue  # inside the admissible set; not a candidate
-        assignment = {"l0": Fraction(1), "l1": Fraction(1), "a": 0, "b": 0}
+        assignment = {"l0": Fraction(1), "l1": Fraction(1)}
         for j in range(3):
             assignment[f"lam{j + 1}"] = lam[j]
             assignment[f"beta{j + 1}"] = beta[j]

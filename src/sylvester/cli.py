@@ -43,6 +43,16 @@ def _default_workers():
         return 1
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = _Parser(
         prog="sylvester",
@@ -64,7 +74,8 @@ def build_parser():
         if mc:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--samples", type=int, default=10_000)
-            p.add_argument("--workers", type=int, default=_default_workers())
+            p.add_argument("--workers", type=_positive_int,
+                           default=_default_workers())
 
     p = sub.add_parser("comb", help="exact comb probability")
     p.add_argument("--comb", required=True,
@@ -368,6 +379,9 @@ def main(argv=None) -> int:
     except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except certificates.StructureError as exc:
+        print(f"certificate structure error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     if len(outcome) == 3:
         doc, code, rows = outcome
     else:

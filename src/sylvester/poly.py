@@ -305,14 +305,6 @@ def as_poly(value, variables=()) -> MultiPoly:
     return MultiPoly.constant(to_fraction(value), variables)
 
 
-def poly_eval(p: MultiPoly, assignment) -> Fraction:
-    return p.evaluate(assignment)
-
-
-def poly_integrate_box(p: MultiPoly, var, lo, hi) -> MultiPoly:
-    return p.integrate_box(var, lo, hi)
-
-
 def _grid_values(count):
     # Distinct rationals avoiding 0 and 1, so that substituting them into
     # expressions with (x, 1-x, ...) style denominators stays safe.

@@ -219,19 +219,14 @@ def in_compa(lam, beta, xbar) -> bool:
     return all(abs(qj) <= pj for pj, qj in zip(p, q))
 
 
-def _interior_chord_values(xbar, u0, u1):
-    # Ordinate of the line from (0, u0) to (1, u1) at each interior abscissa.
-    return [u0 + x * (u1 - u0) for x in xbar[1:-1]]
-
-
-def convexity_integrand(xbar, l_plus, l_minus, u0=None, u1=None):
+def convexity_integrand(xbar, l_plus, l_minus):
     """The split-sum polynomial g: for each above/below partition of the
     interior slices, the product of the two comb polynomials of the parts,
     with the chord ordinates substituted.
 
     ``l_plus`` and ``l_minus`` list the interior slice parts (indices 1..N)
-    as rationals or MultiPoly values; ``u0``/``u1`` default to the symbols
-    "u0"/"u1" (ordinates of the two extreme points).
+    as rationals or MultiPoly values; the result is a polynomial in the
+    symbols "u0"/"u1" (ordinates of the two extreme points).
     """
     xbar = [to_fraction(v) for v in xbar]
     if xbar[0] != 0 or xbar[-1] != 1:
@@ -239,12 +234,11 @@ def convexity_integrand(xbar, l_plus, l_minus, u0=None, u1=None):
     N = len(xbar) - 2
     if len(l_plus) != N or len(l_minus) != N:
         raise ValueError("expected one slice part per interior abscissa")
-    if u0 is None:
-        u0 = MultiPoly.variable(U0, (U0, U1))
-    if u1 is None:
-        u1 = MultiPoly.variable(U1, (U0, U1))
-    u = _interior_chord_values(xbar, u0, u1)
+    u0 = MultiPoly.variable(U0, (U0, U1))
+    u1 = MultiPoly.variable(U1, (U0, U1))
     interior_x = xbar[1:-1]
+    # Ordinate of the chord from (0, u0) to (1, u1) at each interior abscissa.
+    u = [u0 + x * (u1 - u0) for x in interior_x]
     total = Fraction(0)
     for mask in range(1 << N):
         above = [j for j in range(N) if mask >> j & 1]
@@ -261,15 +255,15 @@ def convexity_integrand(xbar, l_plus, l_minus, u0=None, u1=None):
     return total
 
 
-def symmetrized_integrand(xbar, l_plus, l_minus, u0, u1):
-    """Sum of the integrand over the four sign choices of (u0, u1)."""
-    total = Fraction(0)
-    for e0 in (1, -1):
-        for e1 in (1, -1):
-            total = total + convexity_integrand(
-                xbar, l_plus, l_minus, e0 * u0, e1 * u1
-            )
-    return total
+def symmetrized_integrand(xbar, l_plus, l_minus):
+    """Sum of the integrand over the four sign choices of (u0, u1): four
+    times its part even in both u0 and u1."""
+    g = as_poly(convexity_integrand(xbar, l_plus, l_minus))
+    g = g.with_variables(tuple(dict.fromkeys(g.variables + (U0, U1))))
+    i0, i1 = g.variables.index(U0), g.variables.index(U1)
+    return MultiPoly(g.variables, {
+        e: 4 * c for e, c in g.terms.items() if e[i0] % 2 == e[i1] % 2 == 0
+    })
 
 
 def family_probability(family: NormalizedFamily) -> Fraction:

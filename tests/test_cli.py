@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 from referencing import Registry, Resource
 
-from sylvester import cli
+from sylvester import certificates, cli
+from sylvester.poly import MultiPoly
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def load_schema(name):
@@ -162,6 +167,48 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert cli.main(["comb", "--comb", "not json"]) == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+def test_workers_below_one_rejected(capsys):
+    for command in ("estimate", "theorem1"):
+        for workers in ("0", "-1"):
+            code = cli.main([command, "--workers", workers, "--samples", "10"])
+            assert code == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and "at least 1" in err
+
+
+def test_structure_error_exits_3(capsys, monkeypatch):
+    original = certificates.symmetrized_integrand
+
+    def injected(xbar, l_plus, l_minus):
+        # an odd beta-degree term in one of the two integrands
+        extra = MultiPoly.variable("beta1") if l_plus[0] != l_minus[0] else 0
+        return original(xbar, l_plus, l_minus) + extra
+
+    monkeypatch.setattr(certificates, "symmetrized_integrand", injected)
+    code = cli.main(["verify", "--case", "n4"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CERTIFICATE
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "certificate structure error: odd beta-degree term survived"
+    ]
+
+
+def test_structure_check_survives_optimize_flag():
+    script = (
+        "import sylvester.certificates as c\n"
+        "from sylvester.poly import MultiPoly\n"
+        "c._check_structure(MultiPoly.variable('beta1'), 2, 'minoration')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode != 0
+    assert "StructureError: odd beta-degree term survived" in proc.stderr
 
 
 def test_workers_env_default(monkeypatch):

@@ -8,13 +8,16 @@ from sylvester.segments import (
     NormalizedFamily,
     VerticalSegment,
     clamped_family,
+    convexity_integrand,
     family_probability,
     family_segments,
     in_compa,
     normalize,
     profile_to_offsets,
     slope_profile,
+    symmetrized_integrand,
 )
+from sylvester.poly import MultiPoly
 
 XBAR3 = (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1))
 
@@ -137,3 +140,32 @@ def test_json_round_trip():
     fam = comb_family()
     assert NormalizedFamily.from_json(fam.to_json()) == fam
     assert fam.to_json()["N"] == 2
+
+
+def four_sign_reference(xbar, l_plus, l_minus):
+    """The integrand summed over the four sign choices of (u0, u1)."""
+    g = convexity_integrand(xbar, l_plus, l_minus)
+    u0, u1 = MultiPoly.variable("u0"), MultiPoly.variable("u1")
+    total = Fraction(0)
+    for e0 in (1, -1):
+        for e1 in (1, -1):
+            total = total + g.substitute({"u0": e0 * u0, "u1": e1 * u1})
+    return total
+
+
+@pytest.mark.parametrize("x", [
+    (Fraction(1, 3), Fraction(3, 4)),
+    (Fraction(1, 5), Fraction(1, 2), Fraction(6, 7)),
+])
+def test_symmetrized_integrand_is_four_sign_sum(x):
+    N = len(x)
+    xbar = (Fraction(0), *x, Fraction(1))
+    l0, l1 = MultiPoly.variable("l0"), MultiPoly.variable("l1")
+    lam = [MultiPoly.variable(f"lam{j}") for j in range(1, N + 1)]
+    beta = [MultiPoly.variable(f"beta{j}") for j in range(1, N + 1)]
+    trap = [l0 + (l1 - l0) * xb for xb in x]
+    l_plus = [t + a + b for t, a, b in zip(trap, lam, beta)]
+    l_minus = [t + a - b for t, a, b in zip(trap, lam, beta)]
+    sym = symmetrized_integrand(xbar, l_plus, l_minus)
+    assert not sym.is_zero()
+    assert sym == four_sign_reference(xbar, l_plus, l_minus)
