@@ -56,7 +56,7 @@ from .poly import (
     divide_exact,
     grid_identity_check,
 )
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import DocumentError, Rational, format_rational, parse_rational
 from .segments import (
     CompaError,
     NormalizedFamily,

@@ -15,9 +15,11 @@ from fractions import Fraction
 import numpy as np
 
 from .rationals import (
+    DocumentError,
     Rational,
     format_rational,
     rational_sqrt,
+    read_field,
     to_fraction,
 )
 
@@ -416,12 +418,6 @@ def sample_points(body, count, rng) -> np.ndarray:
     raise TypeError(f"not a convex body: {body!r}")
 
 
-def sample_point(body, rng):
-    """One uniform point in the body, as a (float, float) pair."""
-    p = sample_points(body, 1, rng)[0]
-    return float(p[0]), float(p[1])
-
-
 # -- serialization ---------------------------------------------------------
 
 
@@ -450,18 +446,15 @@ def body_to_json(body):
 
 
 def body_from_json(doc):
-    kind = doc.get("type")
+    kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "polygon":
-        return Polygon(
-            tuple((Fraction(x), Fraction(y)) for x, y in doc["vertices"])
-        )
+        return Polygon(read_field(doc, "vertices", (None, 2)))
     if kind == "disk":
-        return Disk(
-            tuple(Fraction(v) for v in doc["center"]), Fraction(doc["r"])
-        )
+        return Disk(read_field(doc, "center", (2,)), read_field(doc, "r"))
     if kind == "ellipse":
         return Ellipse(
-            tuple(tuple(Fraction(v) for v in row) for row in doc["m"]),
-            tuple(Fraction(v) for v in doc["t"]),
+            read_field(doc, "m", (2, 2)), read_field(doc, "t", (2,))
         )
-    raise ValueError(f"unknown body type {kind!r}")
+    raise DocumentError(
+        "expected a JSON object with field 'type': polygon, disk or ellipse"
+    )

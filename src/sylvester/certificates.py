@@ -7,12 +7,15 @@ rational abscissa points and matched against their published closed forms:
 the two n = 4 displays, the n = 5 cone decomposition (18 + 6 coefficients
 with the Lin-interpolated helper polynomials P0..P8), and the n = 5
 quadratic forms with their leading-principal-minor factorizations.  The
-cubic form's matrices M^(k) are read off the cone table: M^(k) is four times
-row k of the 18 constant-part coefficients.  Every
-"> 0" claim is certified by a sum-of-nonnegative-monomials argument on the
-ordered simplex 0 < x1 < x2 < x3 < 1, with endpoint-linear recursion for
-degree-1 factors; dense sampling is only ever reported, never silently
-accepted as a certificate.
+18 constant-part coefficients are the only transcribed table; the rest is
+read off it: the 6 l1 coefficients are row 3 divided by (1 - x3), the cubic
+form's matrix M^(k) is four times row k, and the first quadratic form's
+matrix N is M^(1) / (4 x1^2 (1 - x3)(x3 - x1) / x3).  The minors N[2],
+M1[2] and M2[2] share one Lin factor.  Every "> 0" claim is certified by a
+sum-of-nonnegative-monomials argument on the ordered simplex
+0 < x1 < x2 < x3 < 1, with endpoint-linear recursion for degree-1 factors;
+dense sampling is only ever reported, never silently accepted as a
+certificate.
 """
 
 from __future__ import annotations
@@ -219,7 +222,6 @@ def linear_reconstruct(var, a, value_a, b, value_b):
 class LinHelper:
     """Degree-1-in-one-variable polynomial given by its two endpoint values."""
 
-    name: str
     var: str
     end_a: object  # rational or MultiPoly endpoint location
     value_a: MultiPoly
@@ -242,7 +244,7 @@ def _helpers():
     tbl = {}
 
     def lin(name, var, end_a, va, end_b, vb):
-        tbl[name] = LinHelper(name, var, end_a, va, end_b, vb)
+        tbl[name] = LinHelper(var, end_a, va, end_b, vb)
 
     lin("P0", X1, 0, x2**2 + x2 * x3 - 2 * x2**2 * x3, x2,
         2 * x2 * (one - x2) * (x3 - x2))
@@ -314,19 +316,17 @@ def cone_coefficients_d2(x):
     }
 
 
+def _cone_row(table, k):
+    """Row k of the cone table, keyed by (i, j), i <= j."""
+    return {(i, j): c for (r, i, j), c in table.items() if r == k}
+
+
 def cone_coefficients_d1(x):
-    """The 6 coefficients c_{(i,j)} of the l1 part, keyed by (i, j), i <= j."""
-    xs = _xvals(x)
-    x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    P = _lin_values(HELPERS, xs)
-    return {
-        (1, 1): 2 * x1**2 * P["P6"] / (x2 * x3),
-        (1, 2): 2 * x1**2 * P["P7"] / ((1 - x1) * x3),
-        (1, 3): 2 * x1**2 * (1 - x3) * (1 - x2) * (x3 - x1) / (1 - x1),
-        (2, 2): 2 * x1 * P["P8"] / ((1 - x1) * x3),
-        (2, 3): (1 - x3) * x1 * P["P0"] / (1 - x1),
-        (3, 3): 2 * x1 * x2 * (1 - x3) ** 2 * (x3 - x1) / (1 - x1),
-    }
+    """The 6 coefficients c_{(i,j)} of the l1 part, keyed by (i, j), i <= j:
+    row 3 of the constant-part table divided by (1 - x3)."""
+    scale = 1 / (1 - to_fraction(x[2]))
+    row = _cone_row(cone_coefficients_d2(x), 3)
+    return {key: c * scale for key, c in row.items()}
 
 
 def _cone_quadratic(coeffs, p, q):
@@ -340,16 +340,10 @@ def _cone_quadratic(coeffs, p, q):
     return total
 
 
-def _cone_cubic(coeffs, p, q):
+def _cone_cubic(table, p, q):
     total = _c(0)
     for k in range(1, 4):
-        for i in range(1, 4):
-            for j in range(1, 4):
-                c = coeffs[(k, min(i, j), max(i, j))]
-                total = (
-                    total
-                    + c * p[k - 1] * (p[i - 1] + q[i - 1]) * (p[j - 1] - q[j - 1])
-                )
+        total = total + p[k - 1] * _cone_quadratic(_cone_row(table, k), p, q)
     return total
 
 
@@ -492,20 +486,6 @@ def mirror_x(x):
 
 
 # -- quadratic-form tables -------------------------------------------------
-
-
-def quadratic_form_matrix_N(x):
-    """Symmetric matrix N with f1 = q^T (4 (1-x3)(x3-x1) x1 / x3) N q."""
-    xs = _xvals(x)
-    x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    P = _lin_values(HELPERS, xs)
-    n11 = 2 * x1 * (1 - x2)
-    n12 = P["P0"] / (x3 - x1)
-    n13 = 2 * (1 - x3) * x2
-    n22 = 2 * P["P1"] / ((x1 - x3) * x1 * (x1 - 1))
-    n23 = 2 * (1 - x3) * P["P2"] / ((x3 - x1) * x1 * (1 - x1))
-    n33 = 2 * P["P3"] * (1 - x3) * x3 / ((x3 - x1) * x1 * (x2 - 1) * (x1 - 1))
-    return ((n11, n12, n13), (n12, n22, n23), (n13, n23, n33))
 
 
 def _cone_matrix(table, k):
@@ -866,14 +846,12 @@ def verify_n5_quadratic(points=None) -> CertificateReport:
             f2_ok = False
         f1_q = to_slope_variables(f1, x)
         f3_q = to_slope_variables(f3, x)
-        xs = _xvals(x)
-        x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-        scale = 4 * (1 - x3) * (x3 - x1) * x1 / x3
-        m_full = _scale_matrix(quadratic_form_matrix_N(x), scale)
-        if f1_q != _quadratic_poly(m_full, q):
-            m_ok = False
         table2 = cone_coefficients_d2(x)
         ms = tuple(_cone_matrix(table2, k) for k in (1, 2, 3))
+        # f1 = q^T (4 (1-x3)(x3-x1) x1 / x3) N q = q^T (M^(1) / x1) q
+        m_full = _scale_matrix(ms[0], 1 / to_fraction(x[0]))
+        if f1_q != _quadratic_poly(m_full, q):
+            m_ok = False
         rhs = _c(0)
         for i in range(3):
             rhs = rhs + p[i] * _quadratic_poly(ms[i], q)
@@ -909,44 +887,33 @@ def verify_n5_quadratic(points=None) -> CertificateReport:
 
 def _minor_endpoint_g():
     """Endpoint data for the Lin factors g appearing in the published minor
-    factorizations, keyed by minor name."""
+    factorizations, keyed by minor name; N[2], M1[2] and M2[2] share one."""
     x1, x2, x3 = _var(X1), _var(X2), _var(X3)
     one = _c(1)
+    g2 = LinHelper(
+        X1,
+        Fraction(0),
+        (-2 * x2 * x3 + x2 + x3) * (-2 * x2 * x3 - x2 + 3 * x3),
+        x2,
+        (one - x2) * (-4 * x2 * x3 + x2 + 3 * x3) * (x3 - x2),
+    )
     return {
-        "N[2]": LinHelper(
-            "gN2", X1,
-            Fraction(0),
-            (-2 * x2 * x3 + x2 + x3) * (-2 * x2 * x3 - x2 + 3 * x3),
-            x2,
-            (one - x2) * (-4 * x2 * x3 + x2 + 3 * x3) * (x3 - x2),
-        ),
+        "N[2]": g2,
+        "M1[2]": g2,
+        "M2[2]": g2,
         "N[3]": LinHelper(
-            "gN3", X3,
+            X3,
             x2,
             2 * (one - x2) * (3 * x1 * x2 - x1 - 2 * x2) * (x1 - x2),
             Fraction(1),
             6 * x2 * (one - x1) ** 2 * (one - x2),
         ),
-        "M1[2]": LinHelper(
-            "gM12", X1,
-            Fraction(0),
-            (2 * x2 * x3 - x2 - x3) * (2 * x2 * x3 + x2 - 3 * x3),
-            x2,
-            (one - x2) * (4 * x2 * x3 - x2 - 3 * x3) * (x2 - x3),
-        ),
         "M1[3]": LinHelper(
-            "gM13", X3,
+            X3,
             x2,
             (one - x2) * (-3 * x1 * x2 + x1 + 2 * x2) * (x2 - x1),
             Fraction(1),
             3 * x2 * (one - x1) ** 2 * (one - x2),
-        ),
-        "M2[2]": LinHelper(
-            "gM22", X1,
-            Fraction(0),
-            (-2 * x2 * x3 + x2 + x3) * (-2 * x2 * x3 - x2 + 3 * x3),
-            x2,
-            (one - x2) * (-4 * x2 * x3 + x2 + 3 * x3) * (x3 - x2),
         ),
     }
 
@@ -967,7 +934,7 @@ def _check_minor_factorizations(x, ms):
     x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
     P = _lin_values(HELPERS, xs)
     g = _lin_values(_MINOR_G, xs)
-    n = quadratic_form_matrix_N(x)
+    n = _scale_matrix(ms[0], x3 / (4 * x1**2 * (1 - x3) * (x3 - x1)))
     m1 = _scale_matrix(ms[0], x3 / (4 * (1 - x3) ** 2))
     m2 = ms[1]
     out = {}

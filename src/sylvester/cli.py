@@ -356,7 +356,6 @@ _HANDLERS = {
 
 _PRECONDITION_ERRORS = (
     ValueError,
-    KeyError,
     ZeroDivisionError,
     OSError,
     json.JSONDecodeError,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import MultiPoly
-from .rationals import format_rational, to_fraction
+from .rationals import format_rational, read_field, to_fraction
 
 PERMUTATION_CAP = 7
 
@@ -56,8 +56,7 @@ class Comb:
     @classmethod
     def from_json(cls, doc):
         return cls(
-            tuple(Fraction(v) for v in doc["x"]),
-            tuple(Fraction(v) for v in doc["l"]),
+            read_field(doc, "x", (None,)), read_field(doc, "l", (None,))
         )
 
 

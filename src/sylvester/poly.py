@@ -29,18 +29,16 @@ class MultiPoly:
     __slots__ = ("variables", "terms", "_hash")
 
     def __init__(self, variables, terms):
+        # Dict keys are already distinct, so terms are kept, not summed.
         self.variables = tuple(variables)
         arity = len(self.variables)
-        clean = {}
+        self.terms = {}
         for exps, coeff in terms.items():
             coeff = to_fraction(coeff)
-            if coeff == 0:
-                continue
-            exps = tuple(exps)
-            if len(exps) != arity:
-                raise ValueError("exponent vector arity mismatch")
-            clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+            if coeff:
+                if len(exps) != arity:
+                    raise ValueError("exponent vector arity mismatch")
+                self.terms[tuple(exps)] = coeff
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -107,7 +105,7 @@ class MultiPoly:
             for name, e in zip(self.variables, exps):
                 if e:
                     new[index[name]] = e
-            terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + coeff
+            terms[tuple(new)] = coeff
         return MultiPoly(variables, terms)
 
     @staticmethod
@@ -116,7 +114,11 @@ class MultiPoly:
             b = MultiPoly.constant(to_fraction(b), a.variables)
         if a.variables == b.variables:
             return a, b
-        merged = tuple(dict.fromkeys(a.variables + b.variables))
+        # An operand whose variables cover the other's is kept as it is.
+        if set(a.variables) <= set(b.variables):
+            merged = b.variables
+        else:
+            merged = tuple(dict.fromkeys(a.variables + b.variables))
         return a.with_variables(merged), b.with_variables(merged)
 
     # -- arithmetic --------------------------------------------------------

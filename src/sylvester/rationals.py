@@ -46,6 +46,43 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+class DocumentError(ValueError):
+    """A malformed input document; the message names the offending field."""
+
+
+def read_field(doc, name, shape=()):
+    """Field ``name`` of a JSON object as rationals nested to ``shape``:
+    () is one rational, (None,) a list of any length, (None, 2) a list of
+    pairs, (2, 2) a 2x2 matrix.  Raises DocumentError naming the field."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"expected a JSON object with field {name!r}")
+    if name not in doc:
+        raise DocumentError(f"missing field {name!r}")
+    try:
+        return _read_rationals(doc[name], shape)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DocumentError(
+            f"field {name!r} must be {_template(shape)}"
+        ) from None
+
+
+def _read_rationals(value, shape):
+    if not shape:
+        if type(value) not in (int, float, str):
+            raise TypeError(value)
+        return Fraction(value)
+    if type(value) is not list or shape[0] not in (None, len(value)):
+        raise TypeError(value)
+    return tuple(_read_rationals(v, shape[1:]) for v in value)
+
+
+def _template(shape):
+    if not shape:
+        return '"p/q"'
+    items = [_template(shape[1:])] * (shape[0] or 1)
+    return "[" + ", ".join(items + ["..."] * (shape[0] is None)) + "]"
+
+
 def rational_sqrt(value: Fraction, bits: int = SQRT_PRECISION_BITS) -> Fraction:
     """Rational approximation of sqrt(value), accurate to ~2^-bits.
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .combs import comb_poly
 from .poly import MultiPoly, as_poly
-from .rationals import format_rational, to_fraction
+from .rationals import format_rational, read_field, to_fraction
 
 U0, U1 = "u0", "u1"
 
@@ -92,9 +92,6 @@ class NormalizedFamily:
     def trapezoid(self, x):
         return self.L0 + (self.L1 - self.L0) * to_fraction(x)
 
-    def half_widths(self):
-        return tuple(self.trapezoid(x) for x in self.xbar)
-
     def l_plus(self, j):
         return self.trapezoid(self.xbar[j]) + self.lam[j] + self.beta[j]
 
@@ -120,11 +117,11 @@ class NormalizedFamily:
     @classmethod
     def from_json(cls, doc):
         return cls(
-            tuple(Fraction(v) for v in doc["xbar"]),
-            Fraction(doc["L0"]),
-            Fraction(doc["L1"]),
-            tuple(Fraction(v) for v in doc["lambda"]),
-            tuple(Fraction(v) for v in doc["beta"]),
+            read_field(doc, "xbar", (None,)),
+            read_field(doc, "L0"),
+            read_field(doc, "L1"),
+            read_field(doc, "lambda", (None,)),
+            read_field(doc, "beta", (None,)),
         )
 
 

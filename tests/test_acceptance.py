@@ -8,6 +8,7 @@ terminal summary (see conftest).  The heavier Monte Carlo checks use
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from sylvester import cli
 from sylvester.bodies import (
@@ -171,11 +172,15 @@ def slope_of(lam, xbar):
     return slope_profile(lam, xbar)
 
 
+VERIFY_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_all.json"
+
+
 def test_criterion_6_certificates(capsys):
     code = cli.main(["verify"])
     out = capsys.readouterr().out
     doc = json.loads(out)
     ok = code == 0 and doc["summary"] == "pass"
+    ok &= out == VERIFY_GOLDEN.read_text()  # byte-identical output
     ok &= all(c["pass"] for c in doc["identity_checks"])
     ok &= all(
         c["method"] != "sampled-only" for c in doc["positivity_checks"]

@@ -94,6 +94,41 @@ def test_cond_precondition_failure(capsys):
     assert code == cli.EXIT_PRECONDITION
 
 
+def assert_document_error(capsys, argv, message):
+    assert cli.main(argv) == cli.EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_comb_malformed_document(capsys):
+    assert_document_error(
+        capsys, ["comb", "--comb", "[1]"],
+        "expected a JSON object with field 'x'",
+    )
+    assert_document_error(
+        capsys, ["comb", "--comb", '{"x": "12", "l": [1, 1]}'],
+        """field 'x' must be ["p/q", ...]""",
+    )
+
+
+def test_cond_malformed_document(capsys):
+    assert_document_error(
+        capsys, ["cond", "--family", "{}"], "missing field 'xbar'"
+    )
+
+
+def test_estimate_malformed_body(capsys):
+    assert_document_error(
+        capsys, ["estimate", "--body", '{"type": "disk"}'],
+        "missing field 'center'",
+    )
+    assert_document_error(
+        capsys, ["estimate", "--body", '{"type": "disk", "center": [0], "r": 1}'],
+        """field 'center' must be ["p/q", "p/q"]""",
+    )
+
+
 def test_estimate(capsys):
     code, doc = run_json(
         capsys,

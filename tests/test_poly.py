@@ -21,6 +21,8 @@ def test_arithmetic_round_trip():
     assert p == x * x + 2 * x * y + y * y
     assert (p - p).is_zero()
     assert p.evaluate({"x": Fraction(1, 2), "y": Fraction(1, 3)}) == Fraction(25, 36)
+    # cancellation leaves no zero coefficient behind
+    assert ((x + 1) * (x - 1)).terms == {(2,): 1, (0,): -1}
 
 
 def test_scalar_mixing():
@@ -36,6 +38,10 @@ def test_variable_alignment_and_equality():
     assert p == q
     assert hash(p) == hash(q)
     assert p == MultiPoly.variable("a", ("a", "b", "c")) + v("b")
+    # an operand whose variables cover the other's keeps its order
+    wide = MultiPoly.variable("a", ("c", "b", "a"))
+    assert (wide + v("b")).variables == ("c", "b", "a")
+    assert (v("b") + wide).variables == ("c", "b", "a")
 
 
 def test_missing_variable_error():
@@ -99,3 +105,9 @@ def test_to_json():
     doc = p.to_json()
     assert {"coeff": "2/1", "exps": [1]} in doc
     assert {"coeff": "1/3", "exps": [0]} in doc
+    # zero coefficients are dropped; keys of the wrong arity are rejected
+    assert MultiPoly(("x",), {(1,): 0, (0,): "1/3"}).to_json() == [
+        {"coeff": "1/3", "exps": [0]}
+    ]
+    with pytest.raises(ValueError):
+        MultiPoly(("x",), {(1, 0): 1})
