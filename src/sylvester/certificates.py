@@ -27,7 +27,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
-from .poly import MultiPoly, divide_exact, grid_identity_check
+from .poly import MultiPoly, as_poly, divide_exact, grid_identity_check
 from .rationals import to_fraction
 from .segments import U0, U1, profile_to_offsets, symmetrized_integrand
 
@@ -207,10 +207,7 @@ def linear_reconstruct(var, a, value_a, b, value_b):
     """The unique polynomial linear in ``var`` taking value_a at var = a and
     value_b at var = b.  Endpoints may be rationals or polynomials; the
     divided difference must divide exactly."""
-    a = a if isinstance(a, MultiPoly) else _c(a)
-    b = b if isinstance(b, MultiPoly) else _c(b)
-    value_a = value_a if isinstance(value_a, MultiPoly) else _c(value_a)
-    value_b = value_b if isinstance(value_b, MultiPoly) else _c(value_b)
+    a, b, value_a, value_b = map(as_poly, (a, b, value_a, value_b))
     span = b - a
     if span.is_zero():
         raise ValueError("coincident interpolation endpoints")
@@ -556,16 +553,9 @@ def _bernstein_nonnegative(cube_poly, elevations=4):
     of nonnegative monomials in the variables v and 1-v."""
     names = sorted(cube_poly.used_variables())
     if not names:
-        value = cube_poly.constant_value()
-        return value > 0
+        return cube_poly.constant_value() > 0
     degrees = [cube_poly.degree(v) for v in names]
-    shape = tuple(d + 1 for d in degrees)
-    coeffs = {}
-    for exps, c in cube_poly.terms.items():
-        key = tuple(
-            exps[cube_poly.variables.index(v)] for v in names
-        )
-        coeffs[key] = coeffs.get(key, Fraction(0)) + c
+    coeffs = dict(cube_poly.with_variables(names).terms.items())
     bern = _power_to_bernstein(coeffs, degrees)
     for _ in range(elevations + 1):
         values = bern.values()

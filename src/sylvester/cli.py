@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import bodies, certificates, closed_forms, combs, montecarlo, segments
 from .poly import MultiPoly
-from .rationals import format_rational, parse_rational
+from .rationals import DocumentError, format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,8 +151,14 @@ def _load_body(source):
     return bodies.body_from_json(_load_doc(source))
 
 
-def _rational_list(text):
-    return [parse_rational(part) for part in text.split(",") if part]
+def _rational_list(text, option):
+    values = []
+    for part in filter(None, text.split(",")):
+        try:
+            values.append(parse_rational(part))
+        except (ValueError, ZeroDivisionError):
+            raise DocumentError(f"{option}: invalid rational {part!r}") from None
+    return values
 
 
 def _value_doc(value):
@@ -228,9 +234,9 @@ def _cmd_comb(args):
 
 
 def _cmd_kpoly(args):
-    x = _rational_list(args.x)
+    x = _rational_list(args.x, "--x")
     if args.lengths is not None:
-        lengths = _rational_list(args.lengths)
+        lengths = _rational_list(args.lengths, "--lengths")
         if len(lengths) != len(x):
             raise UsageError("need one length per abscissa")
         value = combs.comb_poly(x, lengths)
@@ -356,7 +362,6 @@ _HANDLERS = {
 
 _PRECONDITION_ERRORS = (
     ValueError,
-    ZeroDivisionError,
     OSError,
     json.JSONDecodeError,
 )

@@ -1,16 +1,22 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Terms are stored as a dict mapping exponent tuples (one entry per variable,
-in the order of ``variables``) to nonzero Fraction coefficients.  Values are
-immutable after construction; all arithmetic is exact.
+``_nums`` maps exponent tuples (one entry per variable, in the order of
+``variables``) to nonzero int numerators over one positive int ``_den``, with
+gcd(_den, *_nums.values()) == 1.  The form is canonical, so equality and
+hashing compare it directly; arithmetic runs on ints and reduces each result
+once, with a single gcd.  ``terms`` is a read-only {exponent tuple: Fraction}
+view of the same polynomial.  Values are immutable; all arithmetic is exact.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product as iter_product
+from math import gcd, lcm
+from operator import add, itemgetter
 
-from .rationals import Rational, to_fraction
+from .rationals import to_fraction
 
 
 class MissingVariableError(ValueError):
@@ -25,137 +31,210 @@ class DegreeBoundError(ValueError):
     """Declared degree bounds are below the true degrees: check inconclusive."""
 
 
+def _ratio(value):
+    """(numerator, positive denominator) of a rational scalar."""
+    if type(value) is int:
+        return value, 1
+    value = to_fraction(value)
+    return value.numerator, value.denominator
+
+
+def _picker(indices):
+    """Function taking an exponent tuple to its entries at ``indices``."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda e: (e[i],)
+    if not indices:
+        return lambda e: ()
+    return itemgetter(*indices)
+
+
+def _mul_into(out, a, b):
+    """Add the product of two numerator dicts into ``out``."""
+    get = out.get
+    for e2, c2 in b.items():
+        for e1, c1 in a.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+def _make(variables, nums, den, reduce=True):
+    """MultiPoly over ``nums / den`` (den > 0), brought to canonical form
+    unless the caller passes one with ``reduce=False``."""
+    if reduce:
+        for e in [e for e, c in nums.items() if not c]:
+            del nums[e]
+        g = gcd(den, *nums.values()) if den != 1 else 1
+        if g != 1:
+            den //= g
+            nums = {e: c // g for e, c in nums.items()}
+    p = object.__new__(MultiPoly)
+    p.variables = variables
+    p._nums = nums
+    p._den = den
+    p._hash = None
+    return p
+
+
+class _TermsView(Mapping):
+    """Read-only {exponent tuple: Fraction} view of a MultiPoly."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums, den):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, exps):
+        return Fraction(self._nums[exps], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self):
+        return len(self._nums)
+
+
 class MultiPoly:
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "_nums", "_den", "_hash")
 
     def __init__(self, variables, terms):
-        # Dict keys are already distinct, so terms are kept, not summed.
+        """``terms`` maps exponent tuples to rationals; zeros are dropped."""
         self.variables = tuple(variables)
-        arity = len(self.variables)
-        self.terms = {}
-        for exps, coeff in terms.items():
-            coeff = to_fraction(coeff)
-            if coeff:
-                if len(exps) != arity:
-                    raise ValueError("exponent vector arity mismatch")
-                self.terms[tuple(exps)] = coeff
+        coeffs = {tuple(e): to_fraction(c) for e, c in terms.items()}
+        if any(len(e) != len(self.variables) for e in coeffs):
+            raise ValueError("exponent vector arity mismatch")
+        # Over the lcm of reduced denominators the form is already canonical.
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self._nums = {
+            e: c.numerator * (den // c.denominator)
+            for e, c in coeffs.items() if c
+        }
+        self._den = den
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value, variables=()):
-        value = to_fraction(value)
-        if value == 0:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(tuple(variables)): value})
+        variables = tuple(variables)
+        num, den = _ratio(value)
+        return _make(variables, {(0,) * len(variables): num}, den)
 
     @classmethod
     def variable(cls, name, variables=None):
         variables = (name,) if variables is None else tuple(variables)
         i = variables.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {exps: Fraction(1)})
+        return _make(variables, {exps: 1}, 1, reduce=False)
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self):
+        return _TermsView(self._nums, self._den)
+
     def is_zero(self):
-        return not self.terms
+        return not self._nums
 
     def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(any(exps) for exps in self._nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        zero = (0,) * len(self.variables)
+        return Fraction(self._nums.get(zero, 0), self._den)
 
     def degree(self, var) -> int:
         """Degree in one variable; -1 kept at 0 for the zero polynomial."""
         if var not in self.variables:
             return 0
         i = self.variables.index(var)
-        return max((exps[i] for exps in self.terms), default=0)
+        return max((exps[i] for exps in self._nums), default=0)
 
     def total_degree(self) -> int:
-        return max((sum(exps) for exps in self.terms), default=0)
+        return max((sum(exps) for exps in self._nums), default=0)
 
     def used_variables(self):
-        used = set()
-        for exps in self.terms:
-            for name, e in zip(self.variables, exps):
-                if e:
-                    used.add(name)
-        return used
+        names = self.variables
+        return {names[i] for exps in self._nums for i, e in enumerate(exps) if e}
 
     # -- variable alignment ------------------------------------------------
 
     def with_variables(self, variables):
         """Re-express over a superset (or reordering) of the variables."""
         variables = tuple(variables)
-        if variables == self.variables:
+        old = self.variables
+        if variables == old:
             return self
-        missing = self.used_variables() - set(variables)
-        if missing:
-            raise ValueError(f"cannot drop used variables {sorted(missing)}")
-        index = {name: i for i, name in enumerate(variables)}
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for name, e in zip(self.variables, exps):
-                if e:
-                    new[index[name]] = e
-            terms[tuple(new)] = coeff
-        return MultiPoly(variables, terms)
+        pad = len(variables) - len(old)
+        if pad >= 0 and variables[: len(old)] == old:
+            zeros = (0,) * pad
+            nums = {e + zeros: c for e, c in self._nums.items()}
+            return _make(variables, nums, self._den, reduce=False)
+        position = {name: i for i, name in enumerate(old)}
+        if not position.keys() <= set(variables):
+            missing = self.used_variables() - set(variables)
+            if missing:
+                raise ValueError(f"cannot drop used variables {sorted(missing)}")
+        # Index len(old) picks the 0 appended to each key.
+        pick = _picker([position.get(name, len(old)) for name in variables])
+        nums = {pick(e + (0,)): c for e, c in self._nums.items()}
+        return _make(variables, nums, self._den, reduce=False)
 
     @staticmethod
     def _align(a, b):
         if not isinstance(b, MultiPoly):
-            b = MultiPoly.constant(to_fraction(b), a.variables)
-        if a.variables == b.variables:
+            b = MultiPoly.constant(b, a.variables)
+        av, bv = a.variables, b.variables
+        if av == bv:
             return a, b
         # An operand whose variables cover the other's is kept as it is.
-        if set(a.variables) <= set(b.variables):
-            merged = b.variables
-        else:
-            merged = tuple(dict.fromkeys(a.variables + b.variables))
+        if set(av) <= set(bv):
+            return a.with_variables(bv), b
+        if set(bv) <= set(av):
+            return a, b.with_variables(av)
+        merged = tuple(dict.fromkeys(av + bv))
         return a.with_variables(merged), b.with_variables(merged)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, for sign in (1, -1)."""
         a, b = self._align(self, other)
-        terms = dict(a.terms)
-        for exps, coeff in b.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return MultiPoly(a.variables, terms)
+        g = gcd(a._den, b._den)
+        scale_a, scale_b = b._den // g, sign * (a._den // g)
+        nums = {e: c * scale_a for e, c in a._nums.items()}
+        get = nums.get
+        for e, c in b._nums.items():
+            nums[e] = get(e, 0) + c * scale_b
+        return _make(a.variables, nums, a._den * scale_a)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        nums = {e: -c for e, c in self._nums.items()}
+        return _make(self.variables, nums, self._den, reduce=False)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiPoly) else -to_fraction(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            other = to_fraction(other)
-            if other == 0:
-                return MultiPoly(self.variables, {})
-            return MultiPoly(
-                self.variables, {e: c * other for e, c in self.terms.items()}
-            )
+            num, den = _ratio(other)
+            nums = {e: c * num for e, c in self._nums.items()}
+            return _make(self.variables, nums, self._den * den)
         a, b = self._align(self, other)
-        terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(a.variables, terms)
+        nums = _mul_into({}, a._nums, b._nums)
+        return _make(a.variables, nums, a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -184,77 +263,89 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = self._align(self, other)
-        return a.terms == b.terms
+        return a._den == b._den and a._nums == b._nums
 
     def __hash__(self):
         if self._hash is None:
             reduced = self.with_variables(tuple(sorted(self.used_variables())))
-            self._hash = hash(frozenset(reduced.terms.items()))
+            # A constant equals its scalar value, so it hashes like one.
+            self._hash = hash((frozenset(reduced._nums.items()), reduced._den)
+                              if reduced.variables else reduced.constant_value())
         return self._hash
 
     # -- evaluation and substitution ---------------------------------------
 
     def evaluate(self, assignment) -> Fraction:
         """Exact value at a point covering every variable of the polynomial."""
-        missing = self.used_variables() - set(assignment)
-        if missing:
-            raise MissingVariableError(missing)
-        values = [to_fraction(assignment.get(v, 0)) for v in self.variables]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        if not all(v in assignment for v in self.variables):
+            missing = self.used_variables() - set(assignment)
+            if missing:
+                raise MissingVariableError(missing)
+        # Over the common denominator prod q_i^d_i of the point p_i / q_i,
+        # where d_i is the degree in variable i, every term is an integer.
+        den, active, tables = self._den, [], []
+        for i, name in enumerate(self.variables):
+            d = self.degree(name)
+            if d:
+                p, q = _ratio(assignment[name])
+                active.append(i)
+                tables.append([p**e * q ** (d - e) for e in range(d + 1)])
+                den *= q**d
+        total = 0
+        for exps, c in self._nums.items():
+            for i, table in zip(active, tables):
+                c *= table[exps[i]]
+            total += c
+        return Fraction(total, den)
 
     def substitute(self, mapping):
-        """Replace some variables by rationals or polynomials."""
-        mapping = {
-            k: (v if isinstance(v, MultiPoly) else to_fraction(v))
-            for k, v in mapping.items()
-        }
-        keep = [v for v in self.variables if v not in mapping]
-        out = MultiPoly.constant(0, tuple(keep))
-        powers = {k: {0: MultiPoly.constant(1)} for k in mapping}
-        for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(coeff, tuple(keep))
-            kept = [0] * len(keep)
-            ki = 0
-            for name, e in zip(self.variables, exps):
-                if name in mapping:
-                    if e:
-                        cache = powers[name]
-                        if e not in cache:
-                            base = mapping[name]
-                            if not isinstance(base, MultiPoly):
-                                base = MultiPoly.constant(base)
-                            p = cache[max(cache)]
-                            for _ in range(max(cache), e):
-                                p = p * base
-                                cache[len(cache)] = p
-                        val = cache[e]
-                        term = term * val
-                else:
-                    kept[ki] = e
-                    ki += 1
-            shift = MultiPoly(tuple(keep), {tuple(kept): Fraction(1)})
-            out = out + term * shift
-        return out
+        """Replace some variables, simultaneously, by rationals or polynomials."""
+        old = self.variables
+        subs = [i for i, name in enumerate(old) if name in mapping]
+        if not subs:
+            return self
+        keep = [i for i, name in enumerate(old) if name not in mapping]
+        values = [as_poly(mapping[old[i]]) for i in subs]
+        out = tuple(dict.fromkeys(
+            tuple(old[i] for i in keep) + sum((v.variables for v in values), ())
+        ))
+        one = {(0,) * len(out): 1}
+        # Over prod d_s^K_s, for values N_s / d_s raised to at most K_s, the
+        # power N_s^k / d_s^k has the integer numerator N_s^k * d_s^(K_s - k).
+        den, powers = self._den, []
+        for i, value in zip(subs, values):
+            value = value.with_variables(out)
+            top = max((e[i] for e in self._nums), default=0)
+            den *= value._den**top
+            table = [one]
+            for _ in range(top):
+                table.append(_mul_into({}, table[-1], value._nums))
+            powers.append([{e: c * value._den ** (top - k) for e, c in t.items()}
+                           for k, t in enumerate(table)])
+        # Products of powers, each built from the product of its prefix.
+        products, nums = {(): one}, {}
+        pick_subs, pick_keep = _picker(subs), _picker(keep)
+        pad = (0,) * (len(out) - len(keep))
+        for e, c in self._nums.items():
+            key = pick_subs(e)
+            for j, k in enumerate(key):
+                if key[: j + 1] not in products:
+                    products[key[: j + 1]] = _mul_into(
+                        {}, products[key[:j]], powers[j][k]
+                    )
+            _mul_into(nums, {pick_keep(e) + pad: c}, products[key])
+        return _make(out, nums, den)
 
     def coefficient_poly(self, var, power):
         """Coefficient of var**power, as a polynomial in the other variables."""
         if var not in self.variables:
             return self if power == 0 else MultiPoly.constant(0, self.variables)
         i = self.variables.index(var)
-        rest = tuple(v for j, v in enumerate(self.variables) if j != i)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == power:
-                key = exps[:i] + exps[i + 1 :]
-                terms[key] = terms.get(key, Fraction(0)) + coeff
-        return MultiPoly(rest, terms)
+        others = [j for j in range(len(self.variables)) if j != i]
+        rest = tuple(self.variables[j] for j in others)
+        pick = _picker(others)
+        nums = {pick(e): c for e, c in self._nums.items() if e[i] == power}
+        return _make(rest, nums, self._den)
 
     # -- calculus ----------------------------------------------------------
 
@@ -267,30 +358,31 @@ class MultiPoly:
         if var not in self.variables:
             return self * (hi - lo)
         i = self.variables.index(var)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            anti = coeff / (e + 1)
-            value = anti * (hi ** (e + 1) - lo ** (e + 1))
-            key = exps[:i] + (0,) + exps[i + 1 :]
-            terms[key] = terms.get(key, Fraction(0)) + value
-        return MultiPoly(self.variables, terms)
+        # Term x^e integrates to (hi^k - lo^k) / k, k = e + 1: an integer
+        # over the common denominator lcm(1..top) * (qh * ql)^top.
+        top = self.degree(var) + 1
+        ph, qh, pl, ql = hi.numerator, hi.denominator, lo.numerator, lo.denominator
+        whole = lcm(*range(1, top + 1))
+        weight = [
+            whole // k * (ph**k * ql**k - pl**k * qh**k) * (qh * ql) ** (top - k)
+            for k in range(1, top + 1)
+        ]
+        nums = {}
+        get = nums.get
+        for e, c in self._nums.items():
+            key = e[:i] + (0,) + e[i + 1 :]
+            nums[key] = get(key, 0) + c * weight[e[i]]
+        return _make(self.variables, nums, self._den * whole * (qh * ql) ** top)
 
     # -- presentation ------------------------------------------------------
 
     def __repr__(self):
-        if not self.terms:
-            return "MultiPoly(0)"
-        parts = []
-        for exps, coeff in sorted(self.terms.items()):
-            factors = [str(coeff)]
-            for name, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            parts.append("*".join(factors))
-        return "MultiPoly(" + " + ".join(parts) + ")"
+        parts = [
+            "*".join([str(coeff)] + [name if e == 1 else f"{name}^{e}"
+                                     for name, e in zip(self.variables, exps) if e])
+            for exps, coeff in sorted(self.terms.items())
+        ]
+        return "MultiPoly(" + (" + ".join(parts) or "0") + ")"
 
     def to_json(self):
         from .rationals import format_rational
@@ -304,7 +396,7 @@ class MultiPoly:
 def as_poly(value, variables=()) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value
-    return MultiPoly.constant(to_fraction(value), variables)
+    return MultiPoly.constant(value, variables)
 
 
 def _grid_values(count):
@@ -334,12 +426,8 @@ def grid_identity_check(lhs: MultiPoly, rhs: MultiPoly, degree_bounds) -> bool:
     if not names:
         return diff.is_zero()
     axes = [_grid_values(degree_bounds[name] + 1) for name in names]
-    equal = True
-    for point in iter_product(*axes):
-        if diff.evaluate(dict(zip(names, point))) != 0:
-            equal = False
-            break
-    return equal
+    return all(diff.evaluate(dict(zip(names, point))) == 0
+               for point in iter_product(*axes))
 
 
 def divide_exact(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:
@@ -355,16 +443,17 @@ def divide_exact(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     if divisor.is_constant():
         return p / divisor.constant_value()
     p, divisor = MultiPoly._align(p, divisor)
-    lead = max(divisor.terms)
-    lead_c = divisor.terms[lead]
+    lead = max(divisor._nums)
     quotient = MultiPoly.constant(0, p.variables)
     remainder = p
     while not remainder.is_zero():
-        e = max(remainder.terms)
+        e = max(remainder._nums)
         if any(a < b for a, b in zip(e, lead)):
             raise ValueError("inexact polynomial division")
         q_exps = tuple(a - b for a, b in zip(e, lead))
-        q_term = MultiPoly(p.variables, {q_exps: remainder.terms[e] / lead_c})
+        num = remainder._nums[e] * divisor._den
+        den = remainder._den * divisor._nums[lead]
+        q_term = _make(p.variables, {q_exps: num if den > 0 else -num}, abs(den))
         quotient = quotient + q_term
         remainder = remainder - q_term * divisor
     return quotient

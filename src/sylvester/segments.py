@@ -295,12 +295,10 @@ def family_probability(family: NormalizedFamily) -> Fraction:
 def _average_over_extreme(poly, var, half_width):
     # Normalized average over u in [-L, L]; point evaluation in the L = 0
     # limit (degenerate extreme segment).
-    if half_width == 0:
-        if isinstance(poly, MultiPoly):
-            return poly.substitute({var: Fraction(0)})
-        return poly
     if not isinstance(poly, MultiPoly):
         return poly
+    if half_width == 0:
+        return poly.substitute({var: 0})
     return poly.integrate_box(var, -half_width, half_width) / (2 * half_width)
 
 

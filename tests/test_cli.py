@@ -12,6 +12,7 @@ from sylvester.poly import MultiPoly
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def load_schema(name):
@@ -67,6 +68,19 @@ def test_kpoly_symbolic_and_numeric(capsys):
     )
     assert code == 0 and doc["value"] == "1/2"
     validate(doc, "kpoly.json")
+
+
+def test_kpoly_invalid_rational(capsys):
+    for option, argv in (
+        ("--x", ["--x", "{}"]),
+        ("--lengths", ["--x", "1/3,2/3", "--lengths", "1/1,{}"]),
+    ):
+        for bad in ("1/0", "abc"):
+            assert_document_error(
+                capsys,
+                ["kpoly"] + [a.format(bad) for a in argv],
+                f"{option}: invalid rational {bad!r}",
+            )
 
 
 def test_cond(capsys):
@@ -150,6 +164,16 @@ def test_estimate_rb(capsys):
     assert doc["estimate"] == 1.0
     assert doc["hits"] is None
     validate(doc, "estimate.json")
+
+
+def test_estimate_rb_golden(capsys):
+    # The Rao-Blackwell path runs the exact integrand on every sample, so
+    # its output pins the polynomial arithmetic end to end.
+    for body in ("triangle", "disk"):
+        cli.main(["estimate", "--rb", "--n", "5", "--samples", "10",
+                  "--seed", "1", "--body", body])
+        out = capsys.readouterr().out
+        assert out == (DATA_DIR / f"estimate_rb_{body}.json").read_text()
 
 
 def test_byte_identical_output(capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sylvester.poly import (
     DegreeBoundError,
@@ -111,3 +113,122 @@ def test_to_json():
     ]
     with pytest.raises(ValueError):
         MultiPoly(("x",), {(1, 0): 1})
+
+
+def test_terms_view_is_read_only():
+    p = v("x") / 2 + 1
+    assert p.terms == {(1,): Fraction(1, 2), (0,): 1}
+    assert isinstance(p.terms[(1,)], Fraction)
+    with pytest.raises(TypeError):
+        p.terms[(1,)] = 3
+
+
+# -- properties of the ring, checked against evaluation ----------------------
+
+NAMES = ("x", "y", "z")
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+nonzero = rationals.filter(bool)
+points = st.fixed_dictionaries({name: rationals for name in NAMES})
+
+
+@st.composite
+def polys(draw):
+    """Up to four terms of degree <= 2 per variable, over an ordered subset
+    of NAMES, so that operands overlap in differently ordered variables."""
+    variables = draw(st.permutations(NAMES))[: draw(st.integers(0, 3))]
+    exps = st.tuples(*[st.integers(0, 2)] * len(variables))
+    return MultiPoly(variables, draw(st.dictionaries(exps, rationals, max_size=4)))
+
+
+def canonical(r):
+    nums = list(r._nums.values())
+    return r._den > 0 and 0 not in nums and gcd(r._den, *nums) == 1
+
+
+@PROPERTY
+@given(polys(), polys(), points, nonzero)
+def test_ring_operations_match_evaluation(p, q, point, c):
+    at = lambda r: r.evaluate(point)
+    assert at(p + q) == at(p) + at(q)
+    assert at(p - q) == at(p) - at(q)
+    assert at(c - p) == c - at(p)
+    assert at(-p) == -at(p)
+    assert at(p * q) == at(p) * at(q)
+    assert at(c * p) == c * at(p)
+    assert at(p / c) == at(p) / c
+    for k in range(4):
+        assert at(p**k) == at(p) ** k
+
+
+@PROPERTY
+@given(polys(), points, st.sampled_from(NAMES), rationals, rationals)
+def test_integrate_box_matches_simpson(p, point, var, lo, hi):
+    # Simpson's rule is exact up to degree 3; p has degree <= 2 in var.
+    def f(t):
+        return p.evaluate({**point, var: t})
+
+    expected = (hi - lo) / 6 * (f(lo) + 4 * f((lo + hi) / 2) + f(hi))
+    result = p.integrate_box(var, lo, hi)
+    assert var not in result.used_variables()
+    assert result.evaluate(point) == expected
+
+
+@PROPERTY
+@given(polys(), polys(), polys(), points, rationals)
+def test_substitute_matches_evaluation(p, q, r, point, c):
+    # Simultaneous substitution: q and r are evaluated at the original point.
+    inner = {**point, "x": q.evaluate(point), "y": r.evaluate(point)}
+    assert p.substitute({"x": q, "y": r}).evaluate(point) == p.evaluate(inner)
+    assert (p.substitute({"z": c}).evaluate(point)
+            == p.evaluate({**point, "z": c}))
+
+
+@PROPERTY
+@given(polys(), points, st.sampled_from(NAMES))
+def test_coefficient_poly_reassembles(p, point, var):
+    parts = [p.coefficient_poly(var, k) for k in range(3)]
+    assert all(var not in part.used_variables() for part in parts)
+    total = sum(part.evaluate(point) * point[var] ** k
+                for k, part in enumerate(parts))
+    assert total == p.evaluate(point)
+
+
+@PROPERTY
+@given(polys(), polys())
+def test_divide_exact_inverts_multiplication(p, q):
+    assume(not q.is_zero())
+    assert divide_exact(p * q, q) == p
+
+
+@PROPERTY
+@given(polys(), polys(), nonzero)
+def test_results_are_canonical(p, q, c):
+    results = [p + q, p - q, p * q, p / c, c - p, p**2,
+               p.integrate_box("x", 0, c), p.substitute({"y": q}),
+               p.coefficient_poly("z", 1)]
+    assert all(canonical(r) for r in results)
+    # cancellation leaves no zero term behind
+    assert (p + q) - q == p
+    assert 0 not in ((p + q) - q).terms.values()
+    assert (p - p).is_zero() and (p - p)._den == 1
+
+
+@PROPERTY
+@given(polys(), st.permutations(NAMES))
+def test_equality_and_hash_ignore_variable_order(p, order):
+    terms = {}
+    for exps, coeff in p.terms.items():
+        powers = dict(zip(p.variables, exps))
+        terms[tuple(powers.get(name, 0) for name in order)] = coeff
+    q = MultiPoly(order, terms)
+    assert p == q and q == p
+    assert hash(p) == hash(q)
+    assert p + 1 != q
+
+
+def test_constant_hashes_like_its_value():
+    for value in (0, 5, Fraction(-1, 2)):
+        c = MultiPoly.constant(value, ("x", "y"))
+        assert c == value and hash(c) == hash(value)
+        assert len({value, c}) == 1
