@@ -43,14 +43,21 @@ def _default_workers():
         return 1
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum):
+    """argparse type: an int no smaller than ``minimum``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
 
 
 def build_parser():
@@ -70,11 +77,11 @@ def build_parser():
                      "or inline body JSON",
             )
         if n:
-            p.add_argument("--n", type=int, default=4)
+            p.add_argument("--n", type=_int_at_least(3), default=4)
         if mc:
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--samples", type=int, default=10_000)
-            p.add_argument("--workers", type=_positive_int,
+            p.add_argument("--seed", type=_int_at_least(0), default=0)
+            p.add_argument("--samples", type=_int_at_least(1), default=10_000)
+            p.add_argument("--workers", type=_int_at_least(1),
                            default=_default_workers())
 
     p = sub.add_parser("comb", help="exact comb probability")

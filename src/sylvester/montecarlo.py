@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -118,36 +117,39 @@ def _hull_vertex_count(pts):
     return len(lower) + len(upper) - 2
 
 
+#: Samples per block of `convex_position_mask`; bounds its temporaries.
+MASK_BLOCK = 1 << 15
+
+
 def convex_position_mask(samples: np.ndarray) -> np.ndarray:
     """Vectorized test for an (S, n, 2) float array of n-point samples.
 
-    A sample fails iff some point lies in (or on) the triangle of three
-    others; ties at the boundary count as failure, a measure-zero event for
-    continuous distributions.
+    Each sample's points are sorted by angle (`arctan2`) around their
+    centroid; the sample passes iff every cyclically consecutive triple
+    makes a strict left turn.  A zero cross product fails the sample, so
+    collinear and duplicate points count as failure (a measure-zero event
+    for continuous distributions).  Samples are processed in blocks of
+    `MASK_BLOCK`, with x and y as contiguous (n, block) rows.
     """
     S, n, _ = samples.shape
     if n < 3:
         raise ValueError("need at least three points")
-    bad = np.zeros(S, dtype=bool)
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        p = samples[:, i, :]
-        for a, b, c in combinations(others, 3):
-            pa, pb, pc = samples[:, a, :], samples[:, b, :], samples[:, c, :]
-            s1 = _cross_arr(pa, pb, p)
-            s2 = _cross_arr(pb, pc, p)
-            s3 = _cross_arr(pc, pa, p)
-            inside = ((s1 >= 0) & (s2 >= 0) & (s3 >= 0)) | (
-                (s1 <= 0) & (s2 <= 0) & (s3 <= 0)
-            )
-            bad |= inside
-    return ~bad
-
-
-def _cross_arr(o, a, b):
-    return (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (
-        a[:, 1] - o[:, 1]
-    ) * (b[:, 0] - o[:, 0])
+    mask = np.empty(S, dtype=bool)
+    for start in range(0, S, MASK_BLOCK):
+        block = samples[start:start + MASK_BLOCK]
+        x = np.ascontiguousarray(block[:, :, 0].T)
+        y = np.ascontiguousarray(block[:, :, 1].T)
+        order = np.argsort(
+            np.arctan2(y - y.mean(axis=0), x - x.mean(axis=0)), axis=0
+        )
+        x = np.take_along_axis(x, order, axis=0)
+        y = np.take_along_axis(y, order, axis=0)
+        ex = np.roll(x, -1, axis=0) - x
+        ey = np.roll(y, -1, axis=0) - y
+        # Turn at vertex k + 1: cross product of edges k and k + 1.
+        cross = ex * np.roll(ey, -1, axis=0) - ey * np.roll(ex, -1, axis=0)
+        mask[start:start + MASK_BLOCK] = (cross > 0).all(axis=0)
+    return mask
 
 
 # -- estimators ------------------------------------------------------------

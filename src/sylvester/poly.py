@@ -161,6 +161,15 @@ class MultiPoly:
         names = self.variables
         return {names[i] for exps in self._nums for i, e in enumerate(exps) if e}
 
+    def even_part(self, names):
+        """The terms of even degree in every named variable."""
+        idx = [self.variables.index(v) for v in names if v in self.variables]
+        nums = {
+            e: c for e, c in self._nums.items()
+            if not any(e[i] % 2 for i in idx)
+        }
+        return _make(self.variables, nums, self._den)
+
     # -- variable alignment ------------------------------------------------
 
     def with_variables(self, variables):

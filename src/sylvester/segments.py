@@ -257,10 +257,7 @@ def symmetrized_integrand(xbar, l_plus, l_minus):
     times its part even in both u0 and u1."""
     g = as_poly(convexity_integrand(xbar, l_plus, l_minus))
     g = g.with_variables(tuple(dict.fromkeys(g.variables + (U0, U1))))
-    i0, i1 = g.variables.index(U0), g.variables.index(U1)
-    return MultiPoly(g.variables, {
-        e: 4 * c for e, c in g.terms.items() if e[i0] % 2 == e[i1] % 2 == 0
-    })
+    return 4 * g.even_part((U0, U1))
 
 
 def family_probability(family: NormalizedFamily) -> Fraction:

@@ -176,6 +176,22 @@ def test_estimate_rb_golden(capsys):
         assert out == (DATA_DIR / f"estimate_rb_{body}.json").read_text()
 
 
+def test_estimate_plain_golden(capsys):
+    # Hit counts of the plain estimator pin the sampler and the hull test.
+    cases = {
+        "estimate_triangle_n8": ["estimate", "--body", "triangle", "--n", "8",
+                                 "--samples", "20000", "--seed", "1"],
+        "estimate_disk_n5_w2": ["estimate", "--body", "disk", "--n", "5",
+                                "--samples", "50000", "--seed", "1",
+                                "--workers", "2"],
+        "theorem1": ["theorem1", "--samples", "20000", "--seed", "1"],
+    }
+    for name, argv in cases.items():
+        assert cli.main(argv) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out == (DATA_DIR / f"{name}.json").read_text()
+
+
 def test_byte_identical_output(capsys):
     argv = ["estimate", "--body", "disk", "--n", "5",
             "--samples", "3000", "--seed", "11", "--workers", "2"]
@@ -235,6 +251,22 @@ def test_workers_below_one_rejected(capsys):
             assert code == cli.EXIT_USAGE
             err = capsys.readouterr().err
             assert err.startswith("usage error:") and "at least 1" in err
+
+
+def test_out_of_range_counts_are_usage_errors(capsys):
+    cases = [
+        ("estimate", "--samples", "0", "at least 1"),
+        ("theorem1", "--samples", "-3", "at least 1"),
+        ("estimate", "--n", "2", "at least 3"),
+        ("estimate", "--n", "x", "invalid int value"),
+        ("theorem1", "--seed", "-1", "at least 0"),
+    ]
+    for command, option, value, message in cases:
+        assert cli.main([command, option, value]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: argument {option}:")
+        assert message in captured.err
 
 
 def test_structure_error_exits_3(capsys, monkeypatch):

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sylvester.bodies import Disk, Polygon, triangle
+from sylvester.bodies import Disk, Polygon, sample_points, triangle
 from sylvester.montecarlo import (
+    MASK_BLOCK,
     convex_position_mask,
     estimate_Q,
     estimate_Q_rb,
@@ -16,6 +19,35 @@ from sylvester.segments import VerticalSegment
 
 TRI = triangle((0, 0), (1, 0), (0, 1))
 SQUARE = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
+DISK = Disk((0, 0), 1)
+
+
+def triangle_test_mask(samples):
+    """The former mask, kept as an oracle: a sample fails iff some point
+    lies in or on the triangle of three others."""
+    S, n, _ = samples.shape
+
+    def cross(o, a, b):
+        return (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (
+            a[:, 1] - o[:, 1]
+        ) * (b[:, 0] - o[:, 0])
+
+    bad = np.zeros(S, dtype=bool)
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        p = samples[:, i, :]
+        for a, b, c in combinations(others, 3):
+            pa, pb, pc = samples[:, a, :], samples[:, b, :], samples[:, c, :]
+            s1, s2, s3 = cross(pa, pb, p), cross(pb, pc, p), cross(pc, pa, p)
+            bad |= ((s1 >= 0) & (s2 >= 0) & (s3 >= 0)) | (
+                (s1 <= 0) & (s2 <= 0) & (s3 <= 0)
+            )
+    return ~bad
+
+
+def draw(body, n, samples, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return sample_points(body, samples * n, rng).reshape(samples, n, 2)
 
 
 def test_is_convex_position_basics():
@@ -46,6 +78,56 @@ def test_mask_agrees_with_predicate():
     for row, flag in zip(pts, mask):
         exact = [(Fraction(float(x)), Fraction(float(y))) for x, y in row]
         assert is_convex_position(exact) == bool(flag)
+
+
+def test_float_path_degenerate_triples_match_exact():
+    triples = [
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 0), (2, 1), (1, Fraction(1, 2))],
+        [(0, 0), (0, 0), (1, 2)],
+        [(1, 1), (1, 1), (1, 1)],
+        [(0, 0), (1, 0), (0, 1)],
+    ]
+    for triple in triples:
+        floats = [(float(x), float(y)) for x, y in triple]
+        assert is_convex_position(floats) == is_convex_position(triple)
+    assert not is_convex_position([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+    assert not is_convex_position([(0.0, 0.0), (0.0, 0.0), (1.0, 2.0)])
+
+
+def test_mask_matches_triangle_test():
+    for body in (TRI, SQUARE, DISK):
+        for n in range(3, 9):
+            pts = draw(body, n, 3001, seed=n)
+            mask = convex_position_mask(pts)
+            assert mask.dtype == bool and mask.shape == (3001,)
+            assert np.array_equal(mask, triangle_test_mask(pts))
+    # several blocks, the last one partial
+    pts = draw(DISK, 5, 2 * MASK_BLOCK + 77, seed=1)
+    assert np.array_equal(convex_position_mask(pts), triangle_test_mask(pts))
+
+
+def test_mask_of_no_samples():
+    mask = convex_position_mask(np.empty((0, 5, 2)))
+    assert mask.dtype == bool and mask.shape == (0,)
+    with pytest.raises(ValueError):
+        convex_position_mask(np.empty((4, 2, 2)))
+
+
+small_point_sets = st.integers(3, 6).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        min_size=n, max_size=n,
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(small_point_sets)
+def test_mask_matches_exact_on_small_integers(points):
+    # A 5 x 5 grid makes collinear triples and duplicates common.
+    arr = np.asarray(points, dtype=float)[None, :, :]
+    assert bool(convex_position_mask(arr)[0]) == is_convex_position(points)
 
 
 def test_reproducibility():

@@ -206,12 +206,24 @@ def test_divide_exact_inverts_multiplication(p, q):
 def test_results_are_canonical(p, q, c):
     results = [p + q, p - q, p * q, p / c, c - p, p**2,
                p.integrate_box("x", 0, c), p.substitute({"y": q}),
-               p.coefficient_poly("z", 1)]
+               p.coefficient_poly("z", 1), p.even_part(("x", "y"))]
     assert all(canonical(r) for r in results)
     # cancellation leaves no zero term behind
     assert (p + q) - q == p
     assert 0 not in ((p + q) - q).terms.values()
     assert (p - p).is_zero() and (p - p)._den == 1
+
+
+@PROPERTY
+@given(polys(), points, st.sets(st.sampled_from(NAMES)))
+def test_even_part_is_sign_flip_average(p, point, names):
+    # Averaging over every sign choice of the named variables cancels the
+    # terms of odd degree in any of them; absent names change nothing.
+    flips = [{}]
+    for name in names:
+        flips = [{**f, name: s * point[name]} for f in flips for s in (1, -1)]
+    average = sum(p.evaluate({**point, **f}) for f in flips) / len(flips)
+    assert p.even_part(tuple(names)).evaluate(point) == average
 
 
 @PROPERTY
