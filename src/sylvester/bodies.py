@@ -391,18 +391,31 @@ def contains(body, point) -> bool:
 def sample_points(body, count, rng) -> np.ndarray:
     """(count, 2) float array of uniform points in the body."""
     if isinstance(body, Polygon):
+        # Fan triangles (v0, v0 + a_k, v0 + b_k).  The order statistics
+        # lo <= hi of two uniforms give barycentric weights
+        # (1 - hi, lo, hi - lo), uniform on the simplex.
         verts = np.array([[float(x), float(y)] for x, y in body.vertices])
         v0 = verts[0]
         a = verts[1:-1] - v0
         b = verts[2:] - v0
-        areas = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]) / 2
-        idx = rng.choice(len(areas), size=count, p=areas / areas.sum())
         u = rng.random(count)
         v = rng.random(count)
-        flip = u + v > 1
-        u[flip] = 1 - u[flip]
-        v[flip] = 1 - v[flip]
-        return v0 + u[:, None] * a[idx] + v[:, None] * b[idx]
+        lo = np.minimum(u, v)
+        mid = np.maximum(u, v, out=u)
+        mid -= lo
+        if len(a) == 1:
+            (ax, ay), (bx, by) = a[0], b[0]
+        else:
+            cum = np.cumsum(np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
+            idx = np.searchsorted(cum, rng.random(count) * cum[-1],
+                                  side="right")
+            # A draw that rounds up to the total area belongs to the last.
+            np.minimum(idx, len(cum) - 1, out=idx)
+            ax, ay, bx, by = a[idx, 0], a[idx, 1], b[idx, 0], b[idx, 1]
+        out = np.empty((count, 2))
+        out[:, 0] = v0[0] + lo * ax + mid * bx
+        out[:, 1] = v0[1] + lo * ay + mid * by
+        return out
     if isinstance(body, Disk):
         r = np.sqrt(rng.random(count)) * float(body.radius)
         theta = rng.random(count) * 2 * np.pi

@@ -35,14 +35,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_workers():
-    value = os.environ.get("SYLVESTER_WORKERS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def _int_at_least(minimum):
     """argparse type: an int no smaller than ``minimum``."""
 
@@ -81,8 +73,12 @@ def build_parser():
         if mc:
             p.add_argument("--seed", type=_int_at_least(0), default=0)
             p.add_argument("--samples", type=_int_at_least(1), default=10_000)
+            # A string default goes through ``type`` too, so a bad
+            # SYLVESTER_WORKERS is a usage error like a bad --workers.
             p.add_argument("--workers", type=_int_at_least(1),
-                           default=_default_workers())
+                           default=os.environ.get("SYLVESTER_WORKERS") or "1",
+                           help="worker streams, run on at most one thread "
+                                "per CPU (default: $SYLVESTER_WORKERS or 1)")
 
     p = sub.add_parser("comb", help="exact comb probability")
     p.add_argument("--comb", required=True,

@@ -2,14 +2,21 @@
 probabilities, used both as end-user functionality and as brute-force
 oracles for the exact formulas.
 
-PRNG: numpy PCG64 seeded through `numpy.random.SeedSequence(seed)`; worker
-streams are `SeedSequence(seed).spawn(workers)` and results are accumulated
-in worker order, so identical (seed, workers, samples) give identical hits.
+PRNG: numpy PCG64 seeded through `numpy.random.SeedSequence(seed)`.  The
+plain estimator splits the samples into `workers` chunks, one per stream of
+`SeedSequence(seed).spawn(workers)`; each stream draws and tests its chunk
+in batches of `MASK_BLOCK` samples, so peak memory does not grow with the
+sample count.  The chunks run on a thread pool of at most
+`os.cpu_count()` threads, or in the calling thread when that is one (numpy
+releases the interpreter lock in the draws and the hull test), and their
+hits are summed in worker order, so identical (seed, workers, samples) give
+identical hits on any machine.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,10 +70,24 @@ def _binomial_result(n, samples, hits, seed, workers):
         hits=hits,
         estimate=estimate,
         std_error=std_error,
-        ci95=(estimate - 1.96 * std_error, estimate + 1.96 * std_error),
+        ci95=_wilson_interval(estimate, samples),
         seed=seed,
         workers=workers,
     )
+
+
+def _wilson_interval(p, samples):
+    """95 % Wilson score interval of a binomial proportion; unlike the
+    normal interval it keeps a nonzero width at 0 and at all hits."""
+    z = 1.96
+    z2n = z * z / samples
+    center = (p + z2n / 2) / (1 + z2n)
+    half = z * math.sqrt(p * (1 - p) / samples + z2n / (4 * samples)) / (
+        1 + z2n
+    )
+    # The interval touches 0 or 1 only at no or all hits; pin those ends
+    # exactly rather than up to rounding.
+    return (0.0 if p == 0 else center - half, 1.0 if p == 1 else center + half)
 
 
 # -- convex position tests -------------------------------------------------
@@ -117,8 +138,11 @@ def _hull_vertex_count(pts):
     return len(lower) + len(upper) - 2
 
 
-#: Samples per block of `convex_position_mask`; bounds its temporaries.
-MASK_BLOCK = 1 << 15
+#: Samples per block of `convex_position_mask` and per batch of the plain
+#: estimators; bounds their temporaries.  At n = 4 to 8 the block's
+#: (n, block) rows stay within a few hundred kB; on a 2-vCPU x86 host this
+#: ran faster than 2^12, 2^14 or 2^15.
+MASK_BLOCK = 1 << 13
 
 
 def convex_position_mask(samples: np.ndarray) -> np.ndarray:
@@ -155,25 +179,58 @@ def convex_position_mask(samples: np.ndarray) -> np.ndarray:
 # -- estimators ------------------------------------------------------------
 
 
+def _batches(count):
+    """Sizes of the `MASK_BLOCK` batches that cover ``count`` samples."""
+    return [min(MASK_BLOCK, count - s) for s in range(0, count, MASK_BLOCK)]
+
+
 def _worker_chunks(samples, workers):
     base, extra = divmod(samples, workers)
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
+def _count_hits(body, n, count, stream):
+    """Samples in convex position among ``count`` n-point samples drawn
+    from the ``SeedSequence`` ``stream``, in batches of `MASK_BLOCK`."""
+    rng = np.random.Generator(np.random.PCG64(stream))
+    hits = 0
+    for batch in _batches(count):
+        pts = bodies.sample_points(body, batch * n, rng).reshape(batch, n, 2)
+        hits += int(convex_position_mask(pts).sum())
+    return hits
+
+
 def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
-    """Plain binomial estimator of the convex-position probability."""
+    """Plain binomial estimator of the convex-position probability.
+
+    The result depends on (seed, workers, samples) only; the ``workers``
+    chunks run on at most ``os.cpu_count()`` threads, in the calling
+    thread when that is one.
+    """
     if n < 3:
         raise ValueError("n must be >= 3")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    hits = 0
-    for chunk, stream in zip(_worker_chunks(samples, workers), streams):
-        if chunk == 0:
-            continue
-        rng = np.random.Generator(np.random.PCG64(stream))
-        pts = bodies.sample_points(body, chunk * n, rng).reshape(chunk, n, 2)
-        hits += int(convex_position_mask(pts).sum())
+    jobs = (
+        [body] * workers,
+        [n] * workers,
+        _worker_chunks(samples, workers),
+        np.random.SeedSequence(seed).spawn(workers),
+    )
+    threads = min(workers, os.cpu_count() or 1)
+    if threads == 1:
+        # One thread gains nothing from a pool, and the caller's thread
+        # stays interruptible between batches.
+        hits = sum(map(_count_hits, *jobs))
+    else:
+        # Imported here: it pulls in logging and queue, about 10 ms of
+        # start-up that single-threaded commands need not pay.
+        from concurrent.futures import ThreadPoolExecutor
+
+        # ``map`` yields in worker order and cancels pending chunks if the
+        # caller is interrupted.
+        with ThreadPoolExecutor(threads) as pool:
+            hits = sum(pool.map(_count_hits, *jobs))
     return _binomial_result(n, samples, hits, seed, workers)
 
 
@@ -250,9 +307,12 @@ def estimate_segments(segments, samples, seed=0) -> EstimateResult:
     )
     lows = np.array([float(s.y_low) for s in segments])
     spans = np.array([float(s.width) for s in segments])
-    ys = lows + rng.random((samples, k)) * spans
-    pts = np.empty((samples, k, 2))
-    pts[:, :, 0] = np.array(xs)
-    pts[:, :, 1] = ys
-    hits = int(convex_position_mask(pts).sum())
+    hits = 0
+    # Row blocks of one C-order (samples, k) draw: the stream, and so the
+    # hits, do not depend on the block size.
+    for batch in _batches(samples):
+        pts = np.empty((batch, k, 2))
+        pts[:, :, 0] = xs
+        pts[:, :, 1] = lows + rng.random((batch, k)) * spans
+        hits += int(convex_position_mask(pts).sum())
     return _binomial_result(k, samples, hits, seed, 1)

@@ -28,6 +28,9 @@ from conftest import random_convex_polygon
 
 TRI = triangle((0, 0), (1, 0), (0, 1))
 SQUARE = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
+#: Irregular convex pentagon; its fan triangles from (0, 0) have areas
+#: 3, 9/2 and 9/4 out of 39/4.
+PENTAGON = Polygon(((0, 0), (3, 0), (4, 2), (Fraction(3, 2), 3), (-1, 1)))
 
 
 def test_polygon_validation():
@@ -148,11 +151,43 @@ def test_contains():
 
 def test_sampling_stays_inside(rng):
     gen = np.random.Generator(np.random.PCG64(5))
-    for body in (TRI, Disk((0, 0), 1), affine_image(Disk((0, 0), 1), ((1, 1), (0, 1)))):
+    for body in (TRI, PENTAGON, Disk((0, 0), 1),
+                 affine_image(Disk((0, 0), 1), ((1, 1), (0, 1)))):
         pts = sample_points(body, 500, gen)
         assert pts.shape == (500, 2)
         for x, y in pts:
             assert contains(body, (float(x), float(y)))
+
+
+def test_fan_triangle_shares_match_areas():
+    count = 200_000
+    pts = sample_points(PENTAGON, count, np.random.Generator(np.random.PCG64(6)))
+    verts = [(float(x), float(y)) for x, y in PENTAGON.vertices]
+    (x0, y0), inner = verts[0], verts[2:-1]
+    # Fan triangle of each point: the diagonals from v0 it lies left of.
+    fan = sum(
+        (vx - x0) * (pts[:, 1] - y0) - (vy - y0) * (pts[:, 0] - x0) > 0
+        for vx, vy in inner
+    )
+    shares = np.bincount(fan, minlength=3) / count
+    assert area(PENTAGON) == Fraction(39, 4)
+    expected = np.array([12, 18, 9]) / 39
+    sigma = np.sqrt(expected * (1 - expected) / count)
+    assert np.all(np.abs(shares - expected) < 4 * sigma)
+
+
+def test_triangle_barycentric_marginals():
+    # Each barycentric coordinate of a uniform point in a triangle has
+    # P(lambda > t) = (1 - t)^2.
+    count = 200_000
+    pts = sample_points(TRI, count, np.random.Generator(np.random.PCG64(7)))
+    bary = np.column_stack((1 - pts.sum(axis=1), pts[:, 0], pts[:, 1]))
+    assert bary.min() >= 0
+    for t in (0.1, 0.25, 0.5, 0.75, 0.9):
+        expected = (1 - t) ** 2
+        sigma = (expected * (1 - expected) / count) ** 0.5
+        for k in range(3):
+            assert abs((bary[:, k] > t).mean() - expected) < 4 * sigma
 
 
 def test_json_round_trip():

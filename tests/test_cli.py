@@ -302,14 +302,26 @@ def test_structure_check_survives_optimize_flag():
     assert "StructureError: odd beta-degree term survived" in proc.stderr
 
 
-def test_workers_env_default(monkeypatch):
+def test_workers_env_default(monkeypatch, capsys):
     monkeypatch.setenv("SYLVESTER_WORKERS", "3")
     parser = cli.build_parser()
     args = parser.parse_args(["estimate"])
     assert args.workers == 3
-    monkeypatch.setenv("SYLVESTER_WORKERS", "junk")
-    args = cli.build_parser().parse_args(["estimate"])
-    assert args.workers == 1
+    monkeypatch.setenv("SYLVESTER_WORKERS", "")
+    assert cli.build_parser().parse_args(["estimate"]).workers == 1
+    for value, message in (("junk", "invalid int value"),
+                           ("0", "at least 1")):
+        monkeypatch.setenv("SYLVESTER_WORKERS", value)
+        for command in ("estimate", "theorem1"):
+            assert cli.main([command, "--samples", "10"]) == cli.EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage error: argument --workers:")
+            assert message in captured.err
+        # An explicit --workers wins; commands without it ignore the variable.
+        assert cli.main(["estimate", "--samples", "10", "--workers", "2"]) == 0
+        assert cli.main(["closed-forms"]) == cli.EXIT_OK
+        capsys.readouterr()
 
 
 def test_theorem1_small(capsys):

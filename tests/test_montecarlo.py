@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,9 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sylvester import bodies
 from sylvester.bodies import Disk, Polygon, sample_points, triangle
 from sylvester.montecarlo import (
     MASK_BLOCK,
+    _binomial_result,
+    _count_hits,
+    _worker_chunks,
     convex_position_mask,
     estimate_Q,
     estimate_Q_rb,
@@ -139,6 +146,54 @@ def test_reproducibility():
     assert c.hits != a.hits
 
 
+def test_batches_bound_sample_points(monkeypatch):
+    sizes = []
+    original = bodies.sample_points
+
+    def recording(body, count, rng):
+        sizes.append(count)
+        return original(body, count, rng)
+
+    monkeypatch.setattr(bodies, "sample_points", recording)
+    samples = 3 * MASK_BLOCK + 5
+    estimate_Q(DISK, 5, samples, seed=3)
+    assert max(sizes) <= MASK_BLOCK * 5
+    assert sum(sizes) == samples * 5
+
+
+def test_threads_match_sequential_chunks(monkeypatch):
+    samples, seed, workers = 30_001, 12, 3
+    expected = sum(
+        _count_hits(SQUARE, 5, chunk, stream)
+        for chunk, stream in zip(
+            _worker_chunks(samples, workers),
+            np.random.SeedSequence(seed).spawn(workers),
+        )
+    )
+    pool_sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingPool)
+    cpu_count = os.cpu_count() or 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # provoke interleaving of the threads
+    try:
+        hits = [estimate_Q(SQUARE, 5, samples, seed=seed, workers=workers).hits]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        hits.append(estimate_Q(SQUARE, 5, samples, seed=seed,
+                               workers=workers).hits)
+    finally:
+        sys.setswitchinterval(interval)
+    assert hits == [expected, expected]
+    # No pool for a single CPU: the chunks run in the calling thread.
+    assert pool_sizes == ([min(workers, cpu_count)] if cpu_count > 1 else [])
+
+
 def test_estimate_matches_closed_form():
     result = estimate_Q(TRI, 4, 100_000, seed=0, workers=2)
     z = (result.estimate - 2 / 3) / result.std_error
@@ -183,9 +238,51 @@ def test_estimate_segments_comb():
         estimate_segments([segs[1], segs[1], segs[2]], 100)
 
 
+def test_estimate_segments_batches_match_one_draw():
+    segs = [VerticalSegment(Fraction(k, 4), -k, 2 + k * k) for k in range(5)]
+    samples, seed = 2 * MASK_BLOCK + 7, 4
+    # The unbatched estimator: one (samples, k) draw, one mask call.
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    pts = np.empty((samples, 5, 2))
+    pts[:, :, 0] = [float(s.x) for s in segs]
+    pts[:, :, 1] = np.array([float(s.y_low) for s in segs]) + rng.random(
+        (samples, 5)
+    ) * np.array([float(s.width) for s in segs])
+    hits = int(convex_position_mask(pts).sum())
+    assert 0 < hits < samples
+    assert estimate_segments(segs, samples, seed=seed) == _binomial_result(
+        5, samples, hits, seed, 1
+    )
+
+
 def test_estimate_segments_three_is_one():
     segs = [VerticalSegment(Fraction(k, 2), 0, 1) for k in range(3)]
-    assert estimate_segments(segs, 500, seed=0).estimate == 1.0
+    result = estimate_segments(segs, 500, seed=0)
+    assert result.estimate == 1.0 and result.std_error == 0.0
+    # All hits: the Wilson interval ends at 1 with a nonzero width,
+    # 1 - z^2 / (N + z^2) at N of N.
+    low, high = result.ci95
+    assert high == 1.0 and low == pytest.approx(1 - 1.96**2 / (500 + 1.96**2))
+
+
+def test_estimate_segments_no_hits():
+    # Points on one line are never in convex position.
+    segs = [VerticalSegment(k, 0, 0) for k in range(4)]
+    result = estimate_segments(segs, 500, seed=0)
+    assert result.hits == 0 and result.std_error == 0.0
+    low, high = result.ci95
+    assert low == 0.0 and high == pytest.approx(1.96**2 / (500 + 1.96**2))
+
+
+def test_wilson_interval_inside():
+    result = _binomial_result(5, 10_000, 3_000, 0, 1)
+    low, high = result.ci95
+    assert low < result.estimate < high
+    # Close to the normal interval away from the edges.
+    assert low == pytest.approx(result.estimate - 1.96 * result.std_error,
+                                abs=2e-4)
+    assert high == pytest.approx(result.estimate + 1.96 * result.std_error,
+                                 abs=2e-4)
 
 
 def test_input_validation():
