@@ -11,11 +11,18 @@ quadratic forms with their leading-principal-minor factorizations.  The
 read off it: the 6 l1 coefficients are row 3 divided by (1 - x3), the cubic
 form's matrix M^(k) is four times row k, and the first quadratic form's
 matrix N is M^(1) / (4 x1^2 (1 - x3)(x3 - x1) / x3).  The minors N[2],
-M1[2] and M2[2] share one Lin factor.  Every "> 0" claim is certified by a
-sum-of-nonnegative-monomials argument on the ordered simplex
-0 < x1 < x2 < x3 < 1, with endpoint-linear recursion for degree-1 factors;
-dense sampling is only ever reported, never silently accepted as a
-certificate.
+M1[2] and M2[2] share one Lin factor.  Every check is an exact MultiPoly
+expression: the decompositions and forms are the bilinear forms of the
+M^(k), and a failing cone check names its wrong coefficients by reading
+them off the monomials they alone own.
+
+Every "> 0" claim is certified on the ordered simplex
+0 < x1 < x2 < x3 < 1, mapped onto the open unit cube, by a Bernstein
+certificate: the power coefficients of p(t/(1+t)) (1+t)^d are the
+Bernstein coefficients of p on [0, 1]^d up to positive binomial factors, so
+when they are all nonnegative p is a sum of nonnegative monomials in the
+v and 1 - v.  Endpoint-linear recursion covers degree-1 factors; dense
+sampling is only ever reported, never silently accepted as a certificate.
 """
 
 from __future__ import annotations
@@ -29,7 +36,13 @@ from itertools import combinations
 
 from .poly import MultiPoly, as_poly, divide_exact, grid_identity_check
 from .rationals import to_fraction
-from .segments import U0, U1, profile_to_offsets, symmetrized_integrand
+from .segments import (
+    U0,
+    U1,
+    profile_to_offsets,
+    slope_profile,
+    symmetrized_integrand,
+)
 
 X1, X2, X3 = "x1", "x2", "x3"
 XVARS = (X1, X2, X3)
@@ -185,8 +198,8 @@ def to_slope_variables(diff, x, N=3):
     return diff.substitute(mapping)
 
 
-def _split_l0_l1(diff, scale):
-    """Split diff = scale*(l0*part0 + l1*part1 + part2); degree checks."""
+def _split_l0_l1(diff):
+    """Split diff = l0*part0 + l1*part1 + part2; degree checks."""
     if diff.degree("l0") > 1 or diff.degree("l1") > 1:
         raise StructureError("difference is not linear in l0 and l1")
     part0 = diff.coefficient_poly("l0", 1)
@@ -195,9 +208,7 @@ def _split_l0_l1(diff, scale):
     part0 = part0.coefficient_poly("l1", 0)
     rest = diff.coefficient_poly("l0", 0)
     part1 = rest.coefficient_poly("l1", 1)
-    part2 = rest.coefficient_poly("l1", 0)
-    inv = Fraction(1) / to_fraction(scale)
-    return part0 * inv, part1 * inv, part2 * inv
+    return part0, part1, rest.coefficient_poly("l1", 0)
 
 
 # -- Lin-interpolated helper polynomials -----------------------------------
@@ -313,106 +324,49 @@ def cone_coefficients_d2(x):
     }
 
 
-def _cone_row(table, k):
-    """Row k of the cone table, keyed by (i, j), i <= j."""
-    return {(i, j): c for (r, i, j), c in table.items() if r == k}
-
-
-def cone_coefficients_d1(x):
+def _l1_coefficients(table, x):
     """The 6 coefficients c_{(i,j)} of the l1 part, keyed by (i, j), i <= j:
-    row 3 of the constant-part table divided by (1 - x3)."""
+    row 3 of the constant-part ``table`` at x divided by (1 - x3)."""
     scale = 1 / (1 - to_fraction(x[2]))
-    row = _cone_row(cone_coefficients_d2(x), 3)
-    return {key: c * scale for key, c in row.items()}
+    return {(i, j): c * scale for (k, i, j), c in table.items() if k == 3}
 
 
-def _cone_quadratic(coeffs, p, q):
-    """Sum over ordered (i, j) of c_{(i,j)} (p_i + q_i)(p_j - q_j), with the
-    symmetric completion of the i <= j table."""
-    total = _c(0)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            c = coeffs[(min(i, j), max(i, j))]
-            total = total + c * (p[i - 1] + q[i - 1]) * (p[j - 1] - q[j - 1])
-    return total
+def _cone_poly(table, p, q):
+    """Four times the cone decomposition with coefficients ``table``: the
+    (p + q, p - q) form of M = _cone_matrix(table) for the l1 table, or
+    with (k, i, j) keys the sum of p_k times the form of M^(k)."""
+    s = [a + b for a, b in zip(p, q)]
+    t = [a - b for a, b in zip(p, q)]
+    if len(next(iter(table))) == 2:
+        return _form(_cone_matrix(table), s, t)
+    return sum(pk * _form(_cone_matrix(table, k), s, t)
+               for k, pk in enumerate(p, 1))
 
 
-def _cone_cubic(table, p, q):
-    total = _c(0)
-    for k in range(1, 4):
-        total = total + p[k - 1] * _cone_quadratic(_cone_row(table, k), p, q)
-    return total
+def _cone_outcome(target, table, p, q):
+    """True if ``target`` is _cone_poly(table), else the function giving
+    the mismatch detail."""
+    return target == _cone_poly(table, p, q) or (
+        lambda: _attribute_mismatch(target, table, p, q)
+    )
 
 
-def _symmetric_basis_element(i, j, p, q):
-    if i == j:
-        return (p[i - 1] + q[i - 1]) * (p[i - 1] - q[i - 1])
-    return (p[i - 1] + q[i - 1]) * (p[j - 1] - q[j - 1]) + (
-        p[j - 1] + q[j - 1]
-    ) * (p[i - 1] - q[i - 1])
+def _attribute_mismatch(target, table, p, q):
+    """Name the table entries ``target`` disagrees with.
 
-
-def _fit_coefficients(target, basis):
-    """Solve target = sum c_name * basis_name exactly, or return None.
-
-    Small dense Gaussian elimination over the rationals; the monomial
-    support of the basis spans the rows.
-    """
-    names = sorted(basis)
-    monos = set()
-    aligned = {}
-    varset = tuple(sorted(
-        set().union(*(b.used_variables() for b in basis.values()))
-        | target.used_variables()
-    ))
-    for name in names:
-        aligned[name] = basis[name].with_variables(varset)
-        monos |= set(aligned[name].terms)
-    t = target.with_variables(varset)
-    monos |= set(t.terms)
-    monos = sorted(monos)
-    rows = [
-        [aligned[name].terms.get(m, Fraction(0)) for name in names]
-        + [t.terms.get(m, Fraction(0))]
-        for m in monos
-    ]
-    ncols = len(names)
-    pivot_rows = []
-    pivot_cols = []
-    for col in range(ncols):
-        pivot = next(
-            (
-                r
-                for r in range(len(rows))
-                if r not in pivot_rows and rows[r][col] != 0
-            ),
-            None,
-        )
-        if pivot is None:
-            continue
-        pivot_rows.append(pivot)
-        pivot_cols.append(col)
-        prow = rows[pivot]
-        inv = 1 / prow[col]
-        rows[pivot] = [v * inv for v in prow]
-        for r in range(len(rows)):
-            if r != pivot and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [
-                    a - factor * b for a, b in zip(rows[r], rows[pivot])
-                ]
-    solution = {name: Fraction(0) for name in names}
-    for prow, col in zip(pivot_rows, pivot_cols):
-        solution[names[col]] = rows[prow][-1]
-    for r in range(len(rows)):
-        if r not in pivot_rows and rows[r][-1] != 0:
-            return None  # inconsistent: target outside the basis span
-    return solution
-
-
-def _attribute_mismatch(target, table, basis):
-    fitted = _fit_coefficients(target, basis)
-    if fitted is None:
+    Key (k, i, j) alone owns the monomial p_k q_i q_j, and key (i, j) the
+    monomial q_i q_j; there _cone_poly has the coefficient -4 c, or -8 c
+    when i < j.  Coefficients read off the target that do not rebuild it
+    leave a residual outside the decomposition basis."""
+    fitted = {}
+    for key in table:
+        i, j = key[-2:]
+        names = (*(f"p{k}" for k in key[:-2]), f"q{i}", f"q{j}")
+        poly = target.with_variables(dict.fromkeys(target.variables + names))
+        exps = tuple(names.count(v) for v in poly.variables)
+        coefficient = poly.terms.get(exps, Fraction(0))
+        fitted[key] = -coefficient / (4 if i == j else 8)
+    if _cone_poly(fitted, p, q) != target:
         return "residual outside the decomposition basis"
     wrong = sorted(k for k in table if fitted[k] != table[k])
     return "mismatched coefficients: " + ", ".join(map(str, wrong))
@@ -485,24 +439,19 @@ def mirror_x(x):
 # -- quadratic-form tables -------------------------------------------------
 
 
-def _cone_matrix(table, k):
-    """M^(k): four times row k of the cone table, symmetrically completed."""
+def _cone_matrix(table, *k):
+    """M^(k): four times row k of the cone table, symmetrically completed;
+    with no k, four times the (i, j)-keyed l1 table."""
     return tuple(
-        tuple(4 * table[(k, min(i, j), max(i, j))] for j in (1, 2, 3))
+        tuple(4 * table[(*k, min(i, j), max(i, j))] for j in (1, 2, 3))
         for i in (1, 2, 3)
     )
 
 
-def _scale_matrix(m, s):
-    return tuple(tuple(v * s for v in row) for row in m)
-
-
-def _quadratic_poly(matrix, q):
-    total = _c(0)
-    for i in range(3):
-        for j in range(3):
-            total = total + matrix[i][j] * q[i] * q[j]
-    return total
+def _form(m, u, v):
+    """The bilinear form sum m[i][j] u_i v_j."""
+    return sum(ui * sum(mij * vj for mij, vj in zip(row, v))
+               for ui, row in zip(u, m))
 
 
 def leading_minor(matrix, k):
@@ -541,58 +490,37 @@ def _simplex_substitution(expr):
     )
 
 
-def _monomial_nonnegative(cube_poly):
-    if cube_poly.is_zero():
-        return False
-    return all(c > 0 for c in cube_poly.terms.values())
+#: Degree elevations the Bernstein test tries before it gives up.
+_ELEVATIONS = 4
 
 
-def _bernstein_nonnegative(cube_poly, elevations=4):
-    """Bernstein-basis certificate on the cube: nonnegative coefficients in
-    the tensor basis prod v^i (1-v)^(d-i) certify positivity, and are a sum
-    of nonnegative monomials in the variables v and 1-v."""
-    names = sorted(cube_poly.used_variables())
-    if not names:
-        return cube_poly.constant_value() > 0
-    degrees = [cube_poly.degree(v) for v in names]
-    coeffs = dict(cube_poly.with_variables(names).terms.items())
-    bern = _power_to_bernstein(coeffs, degrees)
-    for _ in range(elevations + 1):
-        values = bern.values()
-        if all(v >= 0 for v in values) and any(v > 0 for v in values):
+def _bernstein_nonnegative(cube):
+    """Bernstein certificate that a nonzero ``cube`` p is > 0 on (0, 1)^d.
+
+    p is homogenized in one variable w per axis v, up to the degree d of p
+    in v, and w = 1 + v is substituted: with v read as t, that gives
+    p(t/(1+t)) (1+t)^d.  Its power coefficients are the Bernstein
+    coefficients of p in the basis prod v^i (1-v)^(d-i) times positive
+    binomials, so when all are >= 0, p is a sum of nonnegative monomials in
+    the v and 1 - v.  Each multiplication by prod (1 + v) elevates every
+    degree by one."""
+    names = sorted(cube.used_variables())
+    degrees = [cube.degree(v) for v in names]
+    homs = [f"{v}'" for v in names]
+    terms = {
+        e + tuple(d - k for d, k in zip(degrees, e)): c
+        for e, c in cube.with_variables(names).terms.items()
+    }
+    axes = [_var(v) for v in names]
+    form = MultiPoly(names + homs, terms).substitute(
+        {w: 1 + v for w, v in zip(homs, axes)}
+    )
+    lift = math.prod(1 + v for v in axes)
+    for _ in range(_ELEVATIONS + 1):
+        if all(c >= 0 for c in form.terms.values()):
             return True
-        bern, degrees = _elevate(bern, degrees)
+        form = form * lift
     return False
-
-
-def _power_to_bernstein(coeffs, degrees):
-    bern = coeffs
-    for axis, d in enumerate(degrees):
-        new = {}
-        for key, c in bern.items():
-            k = key[axis]
-            for i in range(k, d + 1):
-                w = Fraction(math.comb(i, k), math.comb(d, k))
-                nk = key[:axis] + (i,) + key[axis + 1 :]
-                new[nk] = new.get(nk, Fraction(0)) + w * c
-        bern = new
-    return bern
-
-
-def _elevate(bern, degrees):
-    for axis, d in enumerate(degrees):
-        new = {}
-        for key, c in bern.items():
-            k = key[axis]
-            for i in (k, k + 1):
-                w = Fraction(
-                    math.comb(d, k) * math.comb(1, i - k), math.comb(d + 1, i)
-                )
-                nk = key[:axis] + (i,) + key[axis + 1 :]
-                new[nk] = new.get(nk, Fraction(0)) + w * c
-        bern = new
-    degrees = [d + 1 for d in degrees]
-    return bern, degrees
 
 
 _LIN_INTERVALS = {
@@ -606,39 +534,29 @@ def positivity_check(expr: MultiPoly, _depth=0) -> PositivityVerdict:
     """Certify strict positivity on the open ordered simplex
     0 < x1 < x2 < x3 < 1.
 
-    Tries, in order: a sum-of-nonnegative-monomials certificate after the
-    simplex-to-cube substitution (including its Bernstein refinement in the
-    {v, 1-v} product basis), endpoint-linear recursion for expressions of
-    degree 1 in some x_j, and finally dense rational sampling (which can
-    only report, or refute with a witness)."""
+    Tries, in order: a Bernstein certificate after the simplex-to-cube
+    substitution, endpoint-linear recursion for expressions of degree 1 in
+    some x_j, and finally dense rational sampling (which can only report,
+    or refute with a witness)."""
     if not expr.used_variables() <= set(XVARS):
         raise ValueError("positivity domain is the x-simplex only")
     if expr.is_zero():
         return PositivityVerdict("refuted", witness=(Fraction(1, 4),) * 3)
-    cube = _simplex_substitution(expr)
-    if _monomial_nonnegative(cube):
-        return PositivityVerdict("certified", "monomial-certificate")
-    if _bernstein_nonnegative(cube):
+    if _bernstein_nonnegative(_simplex_substitution(expr)):
         return PositivityVerdict("certified", "monomial-certificate")
     if _depth < 3:
         for var in XVARS:
-            if expr.degree(var) == 1:
-                lo, hi = _LIN_INTERVALS[var]
-                ok = True
-                for end in (lo, hi):
-                    sub = expr.substitute({var: end})
-                    verdict = positivity_check(sub, _depth + 1)
-                    if not verdict.certified:
-                        ok = False
-                        break
-                if ok:
-                    return PositivityVerdict("certified", "endpoint-linear")
+            if expr.degree(var) != 1:
+                continue
+            ends = (expr.substitute({var: e}) for e in _LIN_INTERVALS[var])
+            if all(positivity_check(e, _depth + 1).certified for e in ends):
+                return PositivityVerdict("certified", "endpoint-linear")
     return _sample_positivity(expr)
 
 
-def _sample_positivity(expr, points=10_000, seed=0):
-    rng = random.Random(seed)
-    for _ in range(points):
+def _sample_positivity(expr):
+    rng = random.Random(0)
+    for _ in range(10_000):
         vals = sorted(
             Fraction(rng.randrange(1, 997), 997) for _ in range(3)
         )
@@ -685,89 +603,80 @@ _N4_BOUNDS = {
 }
 
 
+def _identity_checks(points, checks_at):
+    """One IdentityCheck per name of ``checks_at(x)``, the ordered
+    {check name: outcome} at one x point.  An outcome is True where the
+    check holds; a failing one is False or a function giving the detail,
+    which is called at the first failing point only.  No point would make
+    every check pass vacuously, so it is an error."""
+    if not points:
+        raise ValueError("identity checks need at least one x point")
+    names, details = {}, {}
+    for x in points:
+        for name, outcome in checks_at(x).items():
+            names[name] = None
+            if outcome is not True and name not in details:
+                details[name] = outcome() if callable(outcome) else None
+    return [
+        IdentityCheck(name, len(points), name not in details,
+                      details.get(name))
+        for name in names
+    ]
+
+
 def verify_n4(grid_size=6) -> CertificateReport:
     """Certify the two published n = 4 difference displays over an
     admissible abscissa grid."""
-    report = CertificateReport()
-    pairs = default_x_pairs(grid_size)
-    maj_ok = True
-    min_ok = True
-    for x1, x2 in pairs:
-        b1, b2 = _var("beta1"), _var("beta2")
-        l1, l2 = _var("lam1"), _var("lam2")
-        maj = symbolic_difference(2, (x1, x2), "majoration")
-        rhs_maj = 4 * b2 * b2 * Fraction(x1, 1) / x2 + 4 * b1 * b1 * Fraction(
-            1 - x2, 1
-        ) / (1 - x1)
-        if not grid_identity_check(maj, rhs_maj, _N4_BOUNDS):
-            maj_ok = False
-        mino = symbolic_difference(2, (x1, x2), "minoration")
-        rhs_min = 4 * (l2 * l2 - b2 * b2) * Fraction(x1, 1) / x2 + 4 * (
-            l1 * l1 - b1 * b1
-        ) * Fraction(1 - x2, 1) / (1 - x1)
-        if not grid_identity_check(mino, rhs_min, _N4_BOUNDS):
-            min_ok = False
-    report.identity_checks.append(
-        IdentityCheck("n4 symmetrization difference", len(pairs), maj_ok)
+    b1, b2 = _var("beta1"), _var("beta2")
+    l1, l2 = _var("lam1"), _var("lam2")
+
+    def checks_at(x):
+        x1, x2 = x
+        w1, w2 = 4 * (1 - x2) / (1 - x1), 4 * x1 / x2
+        maj = symbolic_difference(2, x, "majoration")
+        mino = symbolic_difference(2, x, "minoration")
+        return {
+            "n4 symmetrization difference": grid_identity_check(
+                maj, w2 * b2 * b2 + w1 * b1 * b1, _N4_BOUNDS
+            ),
+            "n4 shaking difference": grid_identity_check(
+                mino, w2 * (l2 * l2 - b2 * b2) + w1 * (l1 * l1 - b1 * b1),
+                _N4_BOUNDS,
+            ),
+        }
+
+    return CertificateReport(
+        _identity_checks(default_x_pairs(grid_size), checks_at)
     )
-    report.identity_checks.append(
-        IdentityCheck("n4 shaking difference", len(pairs), min_ok)
-    )
-    return report
 
 
 def verify_n5_cone(points=None) -> CertificateReport:
     """Certify the n = 5 shaking-difference cone decomposition: the
     l0/l1/constant split, the 18 + 6 published coefficients, the mirror
     relation for the l0 part, and positivity of every coefficient."""
-    report = CertificateReport()
     if points is None:
         points = default_x_triples()
     p = [_var(f"p{j}") for j in range(1, 4)]
     q = [_var(f"q{j}") for j in range(1, 4)]
-    d2_ok = d1_ok = d0_ok = True
-    d2_detail = d1_detail = None
-    for x in points:
+
+    def checks_at(x):
+        # The parts of the difference are four times the published ones,
+        # and so is _cone_poly.
         diff = to_slope_variables(symbolic_difference(3, x, "minoration"), x)
-        d0, d1, d2 = _split_l0_l1(diff, 4)
+        d0, d1, d2 = _split_l0_l1(diff)
         table2 = cone_coefficients_d2(x)
-        if d2 != _cone_cubic(table2, p, q):
-            d2_ok = False
-            if d2_detail is None:
-                basis = {
-                    key: p[key[0] - 1]
-                    * _symmetric_basis_element(key[1], key[2], p, q)
-                    for key in table2
-                }
-                d2_detail = _attribute_mismatch(d2, table2, basis)
-        table1 = cone_coefficients_d1(x)
-        if d1 != _cone_quadratic(table1, p, q):
-            d1_ok = False
-            if d1_detail is None:
-                basis = {
-                    key: _symmetric_basis_element(key[0], key[1], p, q)
-                    for key in table1
-                }
-                d1_detail = _attribute_mismatch(d1, table1, basis)
-        mirrored = mirror_poly(
-            _cone_quadratic(cone_coefficients_d1(mirror_x(x)), p, q)
-        )
-        if d0 != mirrored:
-            d0_ok = False
-    npts = len(points)
-    report.identity_checks.append(
-        IdentityCheck(
-            "n5 cone: constant part (18 coefficients)", npts, d2_ok, d2_detail
-        )
-    )
-    report.identity_checks.append(
-        IdentityCheck(
-            "n5 cone: l1 part (6 coefficients)", npts, d1_ok, d1_detail
-        )
-    )
-    report.identity_checks.append(
-        IdentityCheck("n5 cone: l0 part (mirror of l1)", npts, d0_ok)
-    )
+        xm = mirror_x(x)
+        mirrored = _l1_coefficients(cone_coefficients_d2(xm), xm)
+        return {
+            "n5 cone: constant part (18 coefficients)":
+                _cone_outcome(d2, table2, p, q),
+            "n5 cone: l1 part (6 coefficients)":
+                _cone_outcome(d1, _l1_coefficients(table2, x), p, q),
+            "n5 cone: l0 part (mirror of l1)":
+                d0 == mirror_poly(_cone_poly(mirrored, p, q)),
+        }
+
+    report = CertificateReport(_identity_checks(points, checks_at))
     report.positivity_checks.extend(
         _lin_positivity(HELPERS, "", "on the simplex")
     )
@@ -819,56 +728,33 @@ def verify_n5_quadratic(points=None) -> CertificateReport:
     l0/l1/constant split against the published f1/f3 displays, the mirror
     rule for f2, the matrix forms, and every stated leading-principal-minor
     factorization with its positivity."""
-    report = CertificateReport()
     if points is None:
         points = default_x_triples()
     q = [_var(f"q{j}") for j in range(1, 4)]
     p = [_var(f"p{j}") for j in range(1, 4)]
-    f1_ok = f2_ok = f3_ok = m_ok = m3_ok = True
-    minor_ok = {k: True for k in _MINOR_CASES}
-    for x in points:
-        f1, f2, f3 = _split_l0_l1(symbolic_difference(3, x, "majoration"), 1)
-        if f1 != f1_display(x):
-            f1_ok = False
-        if f3 != f3_display(x):
-            f3_ok = False
-        if f2 != mirror_poly(f1_display(mirror_x(x))):
-            f2_ok = False
+
+    def checks_at(x):
+        f1, f2, f3 = _split_l0_l1(symbolic_difference(3, x, "majoration"))
         f1_q = to_slope_variables(f1, x)
         f3_q = to_slope_variables(f3, x)
         table2 = cone_coefficients_d2(x)
         ms = tuple(_cone_matrix(table2, k) for k in (1, 2, 3))
-        # f1 = q^T (4 (1-x3)(x3-x1) x1 / x3) N q = q^T (M^(1) / x1) q
-        m_full = _scale_matrix(ms[0], 1 / to_fraction(x[0]))
-        if f1_q != _quadratic_poly(m_full, q):
-            m_ok = False
-        rhs = _c(0)
-        for i in range(3):
-            rhs = rhs + p[i] * _quadratic_poly(ms[i], q)
-        if f3_q != rhs:
-            m3_ok = False
+        checks = {
+            "n5 quadratic: f1 display": f1 == f1_display(x),
+            "n5 quadratic: f2 mirror rule":
+                f2 == mirror_poly(f1_display(mirror_x(x))),
+            "n5 quadratic: f3 display": f3 == f3_display(x),
+            # f1 = q^T (4 (1-x3)(x3-x1) x1 / x3) N q = q^T (M^(1) / x1) q
+            "n5 quadratic: f1 = q^T M q":
+                f1_q == _form(ms[0], q, q) / to_fraction(x[0]),
+            "n5 quadratic: f3 = sum p_i q^T M^(i) q":
+                f3_q == sum(pi * _form(m, q, q) for pi, m in zip(p, ms)),
+        }
         for name, ok in _check_minor_factorizations(x, ms).items():
-            minor_ok[name] = minor_ok[name] and ok
-    npts = len(points)
-    report.identity_checks.append(
-        IdentityCheck("n5 quadratic: f1 display", npts, f1_ok)
-    )
-    report.identity_checks.append(
-        IdentityCheck("n5 quadratic: f2 mirror rule", npts, f2_ok)
-    )
-    report.identity_checks.append(
-        IdentityCheck("n5 quadratic: f3 display", npts, f3_ok)
-    )
-    report.identity_checks.append(
-        IdentityCheck("n5 quadratic: f1 = q^T M q", npts, m_ok)
-    )
-    report.identity_checks.append(
-        IdentityCheck("n5 quadratic: f3 = sum p_i q^T M^(i) q", npts, m3_ok)
-    )
-    for name, ok in minor_ok.items():
-        report.identity_checks.append(
-            IdentityCheck(f"minor factorization: {name}", npts, ok)
-        )
+            checks[f"minor factorization: {name}"] = ok
+        return checks
+
+    report = CertificateReport(_identity_checks(points, checks_at))
     report.positivity_checks.extend(
         _lin_positivity(_MINOR_G, "minor ", "factor on the simplex")
     )
@@ -910,13 +796,6 @@ def _minor_endpoint_g():
 
 _MINOR_G = _minor_endpoint_g()
 
-_MINOR_CASES = (
-    "N[1]", "N[2]", "N[3]",
-    "M1[1]", "M1[2]", "M1[3]",
-    "M2[1]", "M2[2]", "M2[3]",
-)
-
-
 def _check_minor_factorizations(x, ms):
     """Compare each leading principal minor with its published factorized
     form at one numeric x point."""
@@ -924,18 +803,22 @@ def _check_minor_factorizations(x, ms):
     x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
     P = _lin_values(HELPERS, xs)
     g = _lin_values(_MINOR_G, xs)
-    n = _scale_matrix(ms[0], x3 / (4 * x1**2 * (1 - x3) * (x3 - x1)))
-    m1 = _scale_matrix(ms[0], x3 / (4 * (1 - x3) ** 2))
-    m2 = ms[1]
+    # N and M1 are multiples s M^(1), whose k-th leading minors are s^k
+    # times those of M^(1).
+    s_n = x3 / (4 * x1**2 * (1 - x3) * (x3 - x1))
+    s_m1 = x3 / (4 * (1 - x3) ** 2)
+    n = {k: leading_minor(ms[0], k) * s_n**k for k in (1, 2, 3)}
+    m1 = {k: leading_minor(ms[0], k) * s_m1**k for k in (1, 2, 3)}
+    m2 = {k: leading_minor(ms[1], k) for k in (1, 2, 3)}
     out = {}
-    out["N[1]"] = leading_minor(n, 1) == 2 * (1 - x2) * x1
-    out["N[2]"] = leading_minor(n, 2) == g["N[2]"] * (x1 - x2) ** 2 / (
+    out["N[1]"] = n[1] == 2 * (1 - x2) * x1
+    out["N[2]"] = n[2] == g["N[2]"] * (x1 - x2) ** 2 / (
         (x3 - x1) ** 2 * (1 - x1)
     )
-    out["N[3]"] = leading_minor(n, 3) == g["N[3]"] * x3 * (1 - x3) * (
+    out["N[3]"] = n[3] == g["N[3]"] * x3 * (1 - x3) * (
         x2 - x1
     ) ** 2 * (x3 - x2) ** 2 / ((x3 - x1) ** 3 * (1 - x2) * (1 - x1) * x1)
-    out["M1[1]"] = leading_minor(m1, 1) == -2 * x1**3 * (x2 - 1) * (
+    out["M1[1]"] = m1[1] == -2 * x1**3 * (x2 - 1) * (
         x1 - x3
     ) / (x3 - 1)
     # This matrix is the elementwise multiple r * N of the first quadratic
@@ -943,19 +826,19 @@ def _check_minor_factorizations(x, ms):
     # up a factor r^k over the N factorization; the stated k = 2, 3
     # factorizations omit that factor and the recomputation restores it.
     r = x1**2 * (x3 - x1) / (1 - x3)
-    out["M1[2]"] = leading_minor(m1, 2) == r**2 * (x1 - x2) ** 2 / (
+    out["M1[2]"] = m1[2] == r**2 * (x1 - x2) ** 2 / (
         (x3 - x1) ** 2 * (1 - x1)
     ) * g["M1[2]"]
-    out["M1[3]"] = leading_minor(m1, 3) == r**3 * 2 * (x1 - x2) ** 2 * (
+    out["M1[3]"] = m1[3] == r**3 * 2 * (x1 - x2) ** 2 * (
         x2 - x3
     ) ** 2 * x3 * (x3 - 1) / (
         (x1 - x3) ** 3 * x1 * (x1 - 1) * (x2 - 1)
     ) * g["M1[3]"]
-    out["M2[1]"] = leading_minor(m2, 1) == 4 * x1**2 * (1 - x3) * P["P4"] / x3
-    out["M2[2]"] = leading_minor(m2, 2) == 16 * (1 - x3) ** 2 * x1**3 * (
+    out["M2[1]"] = m2[1] == 4 * x1**2 * (1 - x3) * P["P4"] / x3
+    out["M2[2]"] = m2[2] == 16 * (1 - x3) ** 2 * x1**3 * (
         x2 - x1
     ) ** 2 / (x3**2 * (x3 - x1) * (1 - x1) ** 2) * g["M2[2]"] * P["P5"]
-    out["M2[3]"] = leading_minor(m2, 3) == 192 * (x2 - x1) ** 2 * (
+    out["M2[3]"] = m2[3] == 192 * (x2 - x1) ** 2 * (
         x2 - x3
     ) ** 2 * x1**4 * (x3 - 1) ** 4 / (
         x3**2 * (1 - x1) ** 2 * (x3 - x1)
@@ -985,8 +868,6 @@ def compa_violation_witness(x=None, tries=4000, seed=0):
     diff = symbolic_difference(3, x, "minoration")
     rng = random.Random(seed)
     xbar = [Fraction(0), *(to_fraction(v) for v in x), Fraction(1)]
-    from .segments import slope_profile
-
     for _ in range(tries):
         lam = [Fraction(rng.randrange(0, 50), 50) for _ in range(3)]
         beta = [

@@ -331,8 +331,12 @@ def _cmd_theorem1(args):
         result = montecarlo.estimate_Q(
             body, n, args.samples, seed=args.seed, workers=args.workers
         )
-        sigma = result.std_error or float("nan")
-        z = (result.estimate - reference) / sigma if sigma else float("nan")
+        # At zero or all hits the sample error is 0: take the reference's
+        # binomial error instead, so z stays a finite number.
+        sigma = result.std_error or (
+            reference * (1 - reference) / args.samples
+        ) ** 0.5
+        z = (result.estimate - reference) / sigma
         ok = abs(z) <= 4
         all_ok = all_ok and ok
         rows.append({

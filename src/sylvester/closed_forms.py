@@ -2,9 +2,8 @@
 
 Valtr's closed forms for the square and the triangle, and the disk
 constants for n = 4 (Blaschke) and n = 5.  The disk constants are affine
-in 1/pi^2; the adopted reading of the denominators is 12*pi^2 and 48*pi^2
-(the alternative (12*pi)^2 / (48*pi)^2 reading is exposed behind a flag
-and is refuted by Monte Carlo).
+in 1/pi^2, with denominators 12*pi^2 and 48*pi^2; Monte Carlo refutes the
+alternative (12*pi)^2 / (48*pi)^2 reading of them.
 """
 
 from __future__ import annotations
@@ -57,12 +56,8 @@ def closed_form(shape: str, n: int) -> Fraction:
     raise ValueError(f"unknown shape {shape!r}")
 
 
-def disk_constant(n: int, squared_pi_reading: bool = False) -> PiConstant:
-    """Disk constant for n in {4, 5}.
-
-    With ``squared_pi_reading`` the rejected (12*pi)^-2 / (48*pi)^-2
-    parenthesization is returned instead of the adopted pi^2-linear one.
-    """
+def disk_constant(n: int) -> PiConstant:
+    """Disk constant for n in {4, 5}."""
     if n == 4:
         denom = Fraction(12)
         numer = Fraction(35)
@@ -71,8 +66,6 @@ def disk_constant(n: int, squared_pi_reading: bool = False) -> PiConstant:
         numer = Fraction(305)
     else:
         raise ValueError("disk constants are available for n in {4, 5}")
-    if squared_pi_reading:
-        return PiConstant(Fraction(1), -numer / denom**2)
     return PiConstant(Fraction(1), -numer / denom)
 
 

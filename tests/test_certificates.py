@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -135,6 +136,56 @@ def test_verify_n5_cone_perturbed_coefficient(monkeypatch):
     assert failed
     assert "(1, 1, 1)" in failed[0].detail
 
+    def failed_checks():
+        report = certs.verify_n5_cone(points=POINTS[:2])
+        return {c.name: c.detail for c in report.identity_checks
+                if not c.passed}
+
+    # The detail comes from the first failing point.
+    def perturbed_per_point(x):
+        table = original(x)
+        key = (1, 1, 1) if tuple(x) == POINTS[0] else (2, 2, 2)
+        table[key] = table[key] + 1
+        return table
+
+    monkeypatch.setattr(certs, "cone_coefficients_d2", perturbed_per_point)
+    assert failed_checks()["n5 cone: constant part (18 coefficients)"] == (
+        "mismatched coefficients: (1, 1, 1)"
+    )
+
+    # Row 3 of the constant part also gives the l1 table, and through the
+    # mirror point the l0 part.
+    def perturbed_row3(x):
+        table = original(x)
+        table[(3, 1, 2)] = table[(3, 1, 2)] + Fraction(1, 3)
+        return table
+
+    monkeypatch.setattr(certs, "cone_coefficients_d2", perturbed_row3)
+    assert failed_checks() == {
+        "n5 cone: constant part (18 coefficients)":
+            "mismatched coefficients: (3, 1, 2)",
+        "n5 cone: l1 part (6 coefficients)": "mismatched coefficients: (1, 2)",
+        "n5 cone: l0 part (mirror of l1)": None,
+    }
+
+    # p1^3 alone, without its -p1 q1^2 partner, lies outside the span of
+    # the p_k (p_i p_j - q_i q_j).
+    monkeypatch.setattr(certs, "cone_coefficients_d2", original)
+    slopes = certs.to_slope_variables
+    monkeypatch.setattr(certs, "to_slope_variables",
+                        lambda diff, x: slopes(diff, x) + v("p1") ** 3)
+    assert failed_checks() == {
+        "n5 cone: constant part (18 coefficients)":
+            "residual outside the decomposition basis",
+    }
+
+
+def test_no_points_is_an_error():
+    with pytest.raises(ValueError):
+        verify_n5_cone(points=[])
+    with pytest.raises(ValueError):
+        verify_n4(grid_size=0)
+
 
 def test_verify_n5_quadratic_passes():
     report = verify_n5_quadratic(points=POINTS)
@@ -157,6 +208,95 @@ def test_positivity_check_methods():
     assert positivity_check(MultiPoly.constant(0)).status == "refuted"
     with pytest.raises(ValueError):
         positivity_check(v("y"))
+
+
+# Power-to-Bernstein conversion and degree elevation in Fraction arithmetic:
+# the oracle for the MultiPoly test in certificates.
+def _power_to_bernstein(coeffs, degrees):
+    bern = coeffs
+    for axis, d in enumerate(degrees):
+        new = {}
+        for key, c in bern.items():
+            k = key[axis]
+            for i in range(k, d + 1):
+                w = Fraction(math.comb(i, k), math.comb(d, k))
+                nk = key[:axis] + (i,) + key[axis + 1 :]
+                new[nk] = new.get(nk, Fraction(0)) + w * c
+        bern = new
+    return bern
+
+
+def _elevate(bern, degrees):
+    for axis, d in enumerate(degrees):
+        new = {}
+        for key, c in bern.items():
+            k = key[axis]
+            for i in (k, k + 1):
+                w = Fraction(
+                    math.comb(d, k) * math.comb(1, i - k), math.comb(d + 1, i)
+                )
+                nk = key[:axis] + (i,) + key[axis + 1 :]
+                new[nk] = new.get(nk, Fraction(0)) + w * c
+        bern = new
+    degrees = [d + 1 for d in degrees]
+    return bern, degrees
+
+
+def first_bernstein_elevation(cube, limit=4):
+    """The fewest degree elevations after which every Bernstein coefficient
+    of ``cube`` is >= 0 and one is > 0, or None beyond ``limit``."""
+    names = sorted(cube.used_variables())
+    degrees = [cube.degree(name) for name in names]
+    coeffs = dict(cube.with_variables(names).terms.items())
+    bern = _power_to_bernstein(coeffs, degrees)
+    for elevation in range(limit + 1):
+        values = bern.values()
+        if all(c >= 0 for c in values) and any(c > 0 for c in values):
+            return elevation
+        bern, degrees = _elevate(bern, degrees)
+    return None
+
+
+def random_cube_poly(rng):
+    # Products of v, 1 - v and v^2 - v + s with s near 1/4, shifted down a
+    # little: positive ones that need 0 to 4 elevations, and others.
+    names = ("a", "b", "c")[: rng.randint(1, 3)]
+    p = MultiPoly.constant(0)
+    for _ in range(rng.randint(1, 3)):
+        term = MultiPoly.constant(rng.randint(1, 4))
+        for name in names:
+            a = v(name)
+            term = term * rng.choice(
+                [a, 1 - a, a * a - a + Fraction(rng.randint(8, 16), 32)]
+            )
+        p = p + term
+    return p - Fraction(rng.randint(0, 2), 64)
+
+
+def test_bernstein_test_matches_fraction_oracle(monkeypatch):
+    rng = random.Random(0)
+    cubes = [random_cube_poly(rng) for _ in range(60)]
+    firsts = [first_bernstein_elevation(cube) for cube in cubes]
+    assert set(firsts) == {0, 1, 2, 3, 4, None}
+    for elevations in range(5):
+        monkeypatch.setattr(certs, "_ELEVATIONS", elevations)
+        for cube, first in zip(cubes, firsts):
+            expected = first is not None and first <= elevations
+            assert certs._bernstein_nonnegative(cube) == expected
+
+
+def test_bernstein_elevation_cases(monkeypatch):
+    a = v("a")
+    needs_one = a * a - a + Fraction(1, 3)  # minimum 1/12 at a = 1/2
+    touches_zero = (a - Fraction(1, 2)) ** 2
+    monkeypatch.setattr(certs, "_ELEVATIONS", 0)
+    assert not certs._bernstein_nonnegative(needs_one)
+    monkeypatch.setattr(certs, "_ELEVATIONS", 1)
+    assert certs._bernstein_nonnegative(needs_one)
+    monkeypatch.setattr(certs, "_ELEVATIONS", 4)
+    assert not certs._bernstein_nonnegative(touches_zero)
+    assert first_bernstein_elevation(needs_one) == 1
+    assert first_bernstein_elevation(touches_zero) is None
 
 
 def test_negative_second_minor_detected():

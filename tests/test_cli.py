@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -331,3 +332,16 @@ def test_theorem1_small(capsys):
     assert code == 0
     validate(doc, "theorem1.json")
     assert len(doc["rows"]) == 4
+
+
+def test_theorem1_single_sample_is_valid_json(capsys):
+    # One sample gives zero or all hits, so a sample error of 0 in each row.
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    code, out = run(capsys, ["theorem1", "--samples", "1", "--seed", "0"])
+    assert code == 0
+    doc = json.loads(out, parse_constant=reject)
+    validate(doc, "theorem1.json")
+    assert all(row["std_error"] == 0 for row in doc["rows"])
+    assert all(math.isfinite(row["z"]) for row in doc["rows"])

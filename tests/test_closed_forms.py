@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -49,12 +48,6 @@ def test_disk_constants():
     assert abs(d5.value() - 0.356190) < 1e-5
     # rational approximation uses far more than 50 bits of pi
     assert abs(d5.rational_approximation() - Fraction(d5.value())) < Fraction(1, 2**50)
-
-
-def test_rejected_parenthesization():
-    alt = disk_constant(5, squared_pi_reading=True)
-    assert abs(alt.value() - (1 - 305 / (48 * math.pi) ** 2)) < 1e-15
-    assert alt.value() > 0.98
 
 
 def test_constant_level_ordering():
