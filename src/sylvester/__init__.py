@@ -6,7 +6,6 @@ from .bodies import (
     Disk,
     Ellipse,
     Polygon,
-    UnsupportedBodyError,
     affine_image,
     area,
     body_from_json,

@@ -1,35 +1,36 @@
 """Planar convex bodies: slicing, area, x-axis symmetrization/shaking,
 affine images, and uniform sampling.
 
-Polygons carry exact rational vertices; disk and ellipse slice bounds are
-returned as high-precision rationals (see `rationals.SQRT_PRECISION_BITS`).
-The boundary functions fix the reading y_top = sup, y_bottom = inf of the
-slice ordinates, and the support is [min abscissa, max abscissa].
+Polygons carry exact rational vertices.  A curved body is an ellipse
+{t + m.w : |w| <= 1}, and a disk is the ellipse m = r.I (see `_frame`);
+curved slice bounds are high-precision rationals (see
+`rationals.SQRT_PRECISION_BITS`).  Steiner symmetrization is exact for
+polygons, disks and every ellipse; shaking a curved body goes through its
+inscribed `CURVED_APPROX_VERTICES`-gon.  The boundary functions fix the
+reading y_top = sup, y_bottom = inf of the slice ordinates, and the support
+is [min abscissa, max abscissa].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .rationals import (
     DocumentError,
-    Rational,
     format_rational,
     rational_sqrt,
     read_field,
+    round_to_dyadic,
     to_fraction,
 )
 
 #: Vertex count of the inscribed polygon used when a curved body must be
 #: converted to a polygon for an exact transform.
 CURVED_APPROX_VERTICES = 64
-
-
-class UnsupportedBodyError(ValueError):
-    """Transform not defined for this body form."""
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,9 @@ class Polygon:
     vertices: tuple
 
     def __post_init__(self):
-        verts = [
-            (to_fraction(x), to_fraction(y)) for x, y in self.vertices
-        ]
-        # Drop consecutive duplicates (closed cyclically).
-        cleaned = []
-        for v in verts:
-            if not cleaned or v != cleaned[-1]:
-                cleaned.append(v)
-        if len(cleaned) > 1 and cleaned[0] == cleaned[-1]:
-            cleaned.pop()
+        cleaned = _dedupe_ring(
+            [(to_fraction(x), to_fraction(y)) for x, y in self.vertices]
+        )
         if len(cleaned) < 3:
             raise ValueError("polygon needs at least three distinct vertices")
         if _signed_area(cleaned) < 0:
@@ -99,9 +93,6 @@ class Ellipse:
             raise ValueError("degenerate ellipse")
 
 
-ConvexBody = (Polygon, Disk, Ellipse)
-
-
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -120,6 +111,26 @@ def _det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
+def _frame(body):
+    """(m, t) of a curved body {t + m.w : |w| <= 1}; a disk has m = r.I."""
+    if isinstance(body, Disk):
+        r = body.radius
+        return ((r, 0), (0, r)), body.center
+    if isinstance(body, Ellipse):
+        return body.m, body.t
+    raise TypeError(f"not a convex body: {body!r}")
+
+
+@lru_cache(maxsize=64)
+def _chords(body):
+    """(t, |a|^2, a.b/|a|^2, |det m|/|a|^2) for the rows a, b of m; cached
+    because the RB estimator slices the same body at every abscissa."""
+    m, t = _frame(body)
+    (a0, a1), (b0, b1) = m
+    n2 = a0 * a0 + a1 * a1
+    return t, n2, (a0 * b0 + a1 * b1) / n2, abs(_det2(m)) / n2
+
+
 # -- support and slicing ---------------------------------------------------
 
 
@@ -128,21 +139,18 @@ def x_range(body):
     if isinstance(body, Polygon):
         xs = [v[0] for v in body.vertices]
         return min(xs), max(xs)
-    if isinstance(body, Disk):
-        return body.center[0] - body.radius, body.center[0] + body.radius
-    if isinstance(body, Ellipse):
-        half = rational_sqrt(body.m[0][0] ** 2 + body.m[0][1] ** 2)
-        return body.t[0] - half, body.t[0] + half
-    raise TypeError(f"not a convex body: {body!r}")
+    m, t = _frame(body)
+    half = rational_sqrt(m[0][0] ** 2 + m[0][1] ** 2)
+    return t[0] - half, t[0] + half
 
 
 def y_bounds(body, x):
     """(bottom, top) ordinates of the vertical slice at abscissa x."""
     x = to_fraction(x)
-    lo, hi = x_range(body)
-    if x < lo or x > hi:
-        raise ValueError(f"abscissa {x} outside the body support")
     if isinstance(body, Polygon):
+        lo, hi = x_range(body)
+        if x < lo or x > hi:
+            raise ValueError(f"abscissa {x} outside the body support")
         ys = []
         verts = body.vertices
         n = len(verts)
@@ -155,30 +163,15 @@ def y_bounds(body, x):
             if min(x0, x1) <= x <= max(x0, x1):
                 ys.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
         return min(ys), max(ys)
-    if isinstance(body, Disk):
-        (cx, cy), r = body.center, body.radius
-        h = rational_sqrt(max(Fraction(0), r * r - (x - cx) ** 2))
-        return cy - h, cy + h
-    if isinstance(body, Ellipse):
-        # Slice of {t + m.w : |w| <= 1}: w lies on a line a.w = d cut with
-        # the unit disk; the slice endpoints are the two circle points.
-        a = (body.m[0][0], body.m[0][1])
-        b = (body.m[1][0], body.m[1][1])
-        d = x - body.t[0]
-        norm2 = a[0] ** 2 + a[1] ** 2
-        disc = max(Fraction(0), 1 - d * d / norm2)
-        s = rational_sqrt(disc)
-        base = (d * a[0] / norm2, d * a[1] / norm2)
-        perp_scale = rational_sqrt(1 / norm2)
-        perp = (-a[1] * perp_scale, a[0] * perp_scale)
-        y1 = body.t[1] + b[0] * (base[0] + s * perp[0]) + b[1] * (
-            base[1] + s * perp[1]
-        )
-        y2 = body.t[1] + b[0] * (base[0] - s * perp[0]) + b[1] * (
-            base[1] - s * perp[1]
-        )
-        return min(y1, y2), max(y1, y2)
-    raise TypeError(f"not a convex body: {body!r}")
+    # The image under m of the chord a.w = d of the unit disk.
+    (t0, t1), n2, shear, scale = _chords(body)
+    d = x - t0
+    room = n2 - d * d
+    if room < 0:
+        raise ValueError(f"abscissa {x} outside the body support")
+    mid = t1 + d * shear
+    half = scale * rational_sqrt(room)
+    return mid - half, mid + half
 
 
 def width(body, x):
@@ -201,16 +194,11 @@ def area(body):
     """Exact rational area for polygons; a pi-multiple for disk/ellipse."""
     if isinstance(body, Polygon):
         return _signed_area(body.vertices)
-    if isinstance(body, Disk):
-        return AreaValue(body.radius**2, 1)
-    if isinstance(body, Ellipse):
-        return AreaValue(abs(_det2(body.m)), 1)
-    raise TypeError(f"not a convex body: {body!r}")
+    return AreaValue(abs(_det2(_frame(body)[0])), 1)
 
 
 def area_float(body):
-    a = area(body)
-    return float(a) if isinstance(a, AreaValue) else float(a)
+    return float(area(body))
 
 
 # -- x-axis transforms -----------------------------------------------------
@@ -257,22 +245,13 @@ def _drop_collinear(ring):
     return ring
 
 
-def _as_polygon(body):
-    if isinstance(body, Polygon):
-        return body
-    if isinstance(body, (Disk, Ellipse)):
-        return inscribed_polygon(body, CURVED_APPROX_VERTICES)
-    raise TypeError(f"not a convex body: {body!r}")
-
-
 def inscribed_polygon(body, vertex_count) -> Polygon:
     """Rational polygon inscribed in a disk or ellipse.
 
     Boundary points at `vertex_count` angles, each rounded to high-precision
     rationals; the rounding is documented, not exact.
     """
-    from .rationals import round_to_dyadic
-
+    m, t = _frame(body)
     pts = []
     for k in range(vertex_count):
         theta = 2 * np.pi * k / vertex_count
@@ -280,48 +259,34 @@ def inscribed_polygon(body, vertex_count) -> Polygon:
             round_to_dyadic(float(np.cos(theta)), 30),
             round_to_dyadic(float(np.sin(theta)), 30),
         )
-        if isinstance(body, Disk):
-            pts.append(
-                (
-                    body.center[0] + body.radius * w[0],
-                    body.center[1] + body.radius * w[1],
-                )
+        pts.append(
+            (
+                t[0] + m[0][0] * w[0] + m[0][1] * w[1],
+                t[1] + m[1][0] * w[0] + m[1][1] * w[1],
             )
-        else:
-            m, t = body.m, body.t
-            pts.append(
-                (
-                    t[0] + m[0][0] * w[0] + m[0][1] * w[1],
-                    t[1] + m[1][0] * w[0] + m[1][1] * w[1],
-                )
-            )
+        )
     return Polygon(tuple(pts))
 
 
 def steiner_symmetrize(body):
     """Recenter every vertical slice on the x-axis (|y| <= W(x)/2)."""
+    if isinstance(body, Polygon):
+        return _profile_polygon(_width_profile(body), lambda x, w: -w / 2)
     if isinstance(body, Disk):
         return Disk((body.center[0], Fraction(0)), body.radius)
-    if isinstance(body, Ellipse):
-        if _is_axis_aligned(body):
-            return Ellipse(body.m, (body.t[0], Fraction(0)))
-        raise UnsupportedBodyError(
-            "symmetrization of a general ellipse is not supported; "
-            "use inscribed_polygon first"
-        )
-    poly = _as_polygon(body)
-    return _profile_polygon(_width_profile(poly), lambda x, w: -w / 2)
+    # Same row a and det m keep every slice width (see `y_bounds`); a row
+    # b orthogonal to a centres every slice on y = 0.
+    m, t = _frame(body)
+    (a0, a1), _ = m
+    s = _det2(m) / (a0 * a0 + a1 * a1)
+    return Ellipse(((a0, a1), (-a1 * s, a0 * s)), (t[0], Fraction(0)))
 
 
 def shake(body):
     """Rest every vertical slice on the x-axis (0 <= y <= W(x))."""
-    poly = _as_polygon(body)
-    return _profile_polygon(_width_profile(poly), lambda x, w: Fraction(0))
-
-
-def _is_axis_aligned(ellipse):
-    m = ellipse.m
-    return (m[0][1] == 0 and m[1][0] == 0) or (m[0][0] == 0 and m[1][1] == 0)
+    if not isinstance(body, Polygon):
+        body = inscribed_polygon(body, CURVED_APPROX_VERTICES)
+    return _profile_polygon(_width_profile(body), lambda x, w: Fraction(0))
 
 
 def affine_image(body, matrix, translation=(0, 0)):
@@ -339,27 +304,16 @@ def affine_image(body, matrix, translation=(0, 0)):
             for x, y in body.vertices
         ]
         return Polygon(tuple(verts))
-    if isinstance(body, Disk):
-        r = body.radius
-        c = body.center
-        new_m = ((m[0][0] * r, m[0][1] * r), (m[1][0] * r, m[1][1] * r))
-        new_t = (
-            m[0][0] * c[0] + m[0][1] * c[1] + t[0],
-            m[1][0] * c[0] + m[1][1] * c[1] + t[1],
-        )
-        return Ellipse(new_m, new_t)
-    if isinstance(body, Ellipse):
-        em, et = body.m, body.t
-        new_m = tuple(
-            tuple(sum(m[i][k] * em[k][j] for k in range(2)) for j in range(2))
-            for i in range(2)
-        )
-        new_t = (
-            m[0][0] * et[0] + m[0][1] * et[1] + t[0],
-            m[1][0] * et[0] + m[1][1] * et[1] + t[1],
-        )
-        return Ellipse(new_m, new_t)
-    raise TypeError(f"not a convex body: {body!r}")
+    em, et = _frame(body)
+    new_m = tuple(
+        tuple(sum(m[i][k] * em[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+    new_t = (
+        m[0][0] * et[0] + m[0][1] * et[1] + t[0],
+        m[1][0] * et[0] + m[1][1] * et[1] + t[1],
+    )
+    return Ellipse(new_m, new_t)
 
 
 def contains(body, point) -> bool:
@@ -373,16 +327,11 @@ def contains(body, point) -> bool:
             _cross(verts[i], verts[(i + 1) % n], (x, y)) >= 0
             for i in range(n)
         )
-    if isinstance(body, Disk):
-        dx = float(x) - float(body.center[0])
-        dy = float(y) - float(body.center[1])
-        return dx * dx + dy * dy <= float(body.radius) ** 2 * (1 + 1e-12)
-    if isinstance(body, Ellipse):
-        m = np.array([[float(v) for v in row] for row in body.m])
-        t = np.array([float(v) for v in body.t])
-        w = np.linalg.solve(m, np.array([float(x), float(y)]) - t)
-        return float(w @ w) <= 1 + 1e-9
-    raise TypeError(f"not a convex body: {body!r}")
+    m, t = _frame(body)
+    m = np.array([[float(v) for v in row] for row in m])
+    t = np.array([float(v) for v in t])
+    w = np.linalg.solve(m, np.array([float(x), float(y)]) - t)
+    return float(w @ w) <= 1 + 1e-12
 
 
 # -- sampling --------------------------------------------------------------
@@ -416,19 +365,16 @@ def sample_points(body, count, rng) -> np.ndarray:
         out[:, 0] = v0[0] + lo * ax + mid * bx
         out[:, 1] = v0[1] + lo * ay + mid * by
         return out
-    if isinstance(body, Disk):
-        r = np.sqrt(rng.random(count)) * float(body.radius)
-        theta = rng.random(count) * 2 * np.pi
-        c = np.array([float(v) for v in body.center])
-        return c + np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-    if isinstance(body, Ellipse):
-        r = np.sqrt(rng.random(count))
-        theta = rng.random(count) * 2 * np.pi
-        w = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-        m = np.array([[float(v) for v in row] for row in body.m])
-        t = np.array([float(v) for v in body.t])
-        return t + w @ m.T
-    raise TypeError(f"not a convex body: {body!r}")
+    m, t = _frame(body)
+    r = np.sqrt(rng.random(count))
+    theta = rng.random(count) * 2 * np.pi
+    wx = r * np.cos(theta)
+    wy = r * np.sin(theta)
+    # Elementwise, temporaries reused in place; bit-identical for a unit disk.
+    out = np.empty((count, 2))
+    for i in range(2):
+        out[:, i] = float(m[i][0]) * wx + float(t[i]) + float(m[i][1]) * wy
+    return out
 
 
 # -- serialization ---------------------------------------------------------

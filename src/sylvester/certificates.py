@@ -184,8 +184,9 @@ def _check_structure(diff, N, kind):
         )
 
 
-def to_slope_variables(diff, x, N=3):
+def to_slope_variables(diff, x):
     """Rewrite lam/beta in terms of the slope-difference symbols p/q."""
+    N = len(x)
     xbar = [Fraction(0)] + [to_fraction(v) for v in x] + [Fraction(1)]
     p = [_var(f"p{j}") for j in range(1, N + 1)]
     q = [_var(f"q{j}") for j in range(1, N + 1)]

@@ -211,6 +211,8 @@ def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
         raise ValueError("n must be >= 3")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     jobs = (
         [body] * workers,
         [n] * workers,
@@ -299,6 +301,8 @@ def estimate_segments(segments, samples, seed=0) -> EstimateResult:
     k = len(segments)
     if k < 3:
         raise ValueError("need at least three segments")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     xs = [float(s.x) for s in segments]
     if len(set(xs)) != k:
         raise ValueError("duplicate abscissas")

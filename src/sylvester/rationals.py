@@ -86,13 +86,15 @@ def _template(shape):
 def rational_sqrt(value: Fraction, bits: int = SQRT_PRECISION_BITS) -> Fraction:
     """Rational approximation of sqrt(value), accurate to ~2^-bits.
 
-    The result r satisfies |r - sqrt(value)| <= 2^(1-bits) * max(1, sqrt(value)).
+    The result r satisfies |r - sqrt(value)| <= 2^(1-bits) * max(1, sqrt(value)),
+    and is exact when value is the square of a rational.
     """
     value = Fraction(value)
     if value < 0:
         raise ValueError("square root of a negative rational")
-    if value == 0:
-        return Fraction(0)
+    a, b = isqrt(value.numerator), isqrt(value.denominator)
+    if (a * a, b * b) == (value.numerator, value.denominator):
+        return Fraction(a, b)
     scale = 1 << bits
     n = value.numerator * scale * scale
     return Fraction(isqrt(n // value.denominator), scale)

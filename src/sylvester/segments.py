@@ -256,7 +256,6 @@ def symmetrized_integrand(xbar, l_plus, l_minus):
     """Sum of the integrand over the four sign choices of (u0, u1): four
     times its part even in both u0 and u1."""
     g = as_poly(convexity_integrand(xbar, l_plus, l_minus))
-    g = g.with_variables(tuple(dict.fromkeys(g.variables + (U0, U1))))
     return 4 * g.even_part((U0, U1))
 
 

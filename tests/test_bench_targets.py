@@ -14,3 +14,16 @@ def test_every_trace_target_exists():
     spec.loader.exec_module(tracing)
     with tracing.Tracer() as t:
         assert t.missing == []
+
+
+def test_counters_count_provoked_events(monkeypatch):
+    # One clamp and one dyadic-tie fallback, provoked on purpose: a change to
+    # ABSCISSA_BITS or to the beta clamped_family returns fails here.
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    spec = importlib.util.spec_from_file_location(
+        "bench_selftest", TRACING.parent / "selftest.py")
+    selftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(selftest)
+    problems = []
+    selftest.check_events(problems)
+    assert problems == []

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sylvester.bodies import (
     Disk,
     Ellipse,
     Polygon,
-    UnsupportedBodyError,
     affine_image,
     area,
     area_float,
@@ -24,6 +24,7 @@ from sylvester.bodies import (
     x_range,
     y_bounds,
 )
+from sylvester.rationals import rational_sqrt
 from conftest import random_convex_polygon
 
 TRI = triangle((0, 0), (1, 0), (0, 1))
@@ -116,8 +117,12 @@ def test_symmetrize_disk_and_ellipse():
     ell = Ellipse(((2, 0), (0, 1)), (0, 5))
     assert steiner_symmetrize(ell) == Ellipse(((2, 0), (0, 1)), (0, 0))
     sheared = affine_image(disk, ((1, 1), (0, 1)))
-    with pytest.raises(UnsupportedBodyError):
-        steiner_symmetrize(sheared)
+    sym = steiner_symmetrize(sheared)
+    assert sym == Ellipse(((2, 2), (-1, 1)), (4, 0))
+    for k in range(-4, 5):
+        x = 4 + Fraction(k, 2)
+        assert y_bounds(sym, x)[0] == -y_bounds(sym, x)[1]
+        assert width(sym, x) == width(sheared, x)
 
 
 def test_shake_curved_goes_through_inscribed_polygon():
@@ -196,3 +201,97 @@ def test_json_round_trip():
         assert body_from_json(doc) == body
     with pytest.raises(ValueError):
         body_from_json({"type": "cone"})
+
+
+# -- curved bodies through one (m, t) frame ---------------------------------
+
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+
+
+def disk_x_range(disk):
+    """The disk support as a separate disk branch computed it."""
+    return disk.center[0] - disk.radius, disk.center[0] + disk.radius
+
+
+def disk_y_bounds(disk, x):
+    """The disk slice as a separate disk branch computed it."""
+    (cx, cy), r = disk.center, disk.radius
+    h = rational_sqrt(max(Fraction(0), r * r - (x - cx) ** 2))
+    return cy - h, cy + h
+
+
+def disk_sample_points(disk, count, rng):
+    """The polar disk draw as a separate disk branch computed it."""
+    r = np.sqrt(rng.random(count)) * float(disk.radius)
+    theta = rng.random(count) * 2 * np.pi
+    c = np.array([float(v) for v in disk.center])
+    return c + np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(small_rationals, small_rationals,
+       small_rationals.filter(lambda r: r > 0), st.integers(-64, 64))
+def test_disk_slices_match_disk_formulas(cx, cy, r, k):
+    disk = Disk((cx, cy), r)
+    assert x_range(disk) == disk_x_range(disk)
+    # A dyadic abscissa inside the support.
+    x = Fraction(int((cx + r * Fraction(k, 64)) * 1024), 1024)
+    assume(abs(x - cx) <= r)
+    assert y_bounds(disk, x) == disk_y_bounds(disk, x)
+    assert area(disk).coefficient == r * r
+
+
+def test_unit_disk_sampling_is_bit_identical():
+    rnd = random.Random(11)
+    for seed in range(20):
+        center = (Fraction(rnd.randrange(-99, 100), rnd.randrange(1, 30)),
+                  Fraction(rnd.randrange(-99, 100), rnd.randrange(1, 30)))
+        disk = Disk(center, 1)
+        got = sample_points(disk, 1000, np.random.default_rng(seed))
+        want = disk_sample_points(disk, 1000, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+
+rational_matrices = st.tuples(
+    st.tuples(small_rationals, small_rationals),
+    st.tuples(small_rationals, small_rationals),
+).filter(lambda m: m[0][0] * m[1][1] != m[0][1] * m[1][0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rational_matrices, st.tuples(small_rationals, small_rationals),
+       st.lists(st.integers(-16, 16), min_size=1, max_size=4))
+def test_ellipse_symmetral_recentres_every_slice(m, t, ks):
+    ell = Ellipse(m, t)
+    sym = steiner_symmetrize(ell)
+    assert isinstance(sym, Ellipse) and sym.t == (ell.t[0], 0)
+    # max(|a0|, |a1|) <= |a|, the support half-width.
+    reach = max(abs(m[0][0]), abs(m[0][1]))
+    for k in ks:
+        x = ell.t[0] + reach * Fraction(k, 16)
+        bottom, top = y_bounds(sym, x)
+        assert bottom == -top
+        assert top - bottom == width(ell, x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_rationals.filter(bool), small_rationals.filter(bool),
+       st.tuples(small_rationals, small_rationals), st.booleans())
+def test_axis_aligned_symmetral_only_drops_the_centre_height(p, q, t, swap):
+    m = ((0, p), (q, 0)) if swap else ((p, 0), (0, q))
+    assert steiner_symmetrize(Ellipse(m, t)) == Ellipse(m, (t[0], 0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.fractions(max_denominator=10**6))
+def test_rational_sqrt_is_exact_on_squares(q):
+    assert rational_sqrt(q * q) == abs(q)
+
+
+def test_contains_at_the_boundary_of_a_sheared_ellipse():
+    ell = Ellipse(((2, 1), (Fraction(1, 3), 1)), (1, -2))
+    m = np.array([[2.0, 1.0], [1 / 3, 1.0]])
+    for theta in np.linspace(0, 2 * np.pi, 13):
+        w = np.array([np.cos(theta), np.sin(theta)])
+        assert contains(ell, np.array([1.0, -2.0]) + m @ (w * (1 - 1e-9)))
+        assert not contains(ell, np.array([1.0, -2.0]) + m @ (w * (1 + 1e-10)))

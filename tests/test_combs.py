@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sylvester import MultiPoly, grid_identity_check
 from sylvester.combs import (
@@ -104,3 +105,21 @@ def test_json_round_trip():
     doc = comb.to_json()
     assert doc == {"x": ["1/3", "2/3"], "l": ["1/1", "1/2"]}
     assert Comb.from_json(doc) == comb
+
+
+#: Distinct interior abscissas in (0, 1), sorted, with their tooth lengths.
+interior_combs = st.integers(0, 4).flatmap(lambda m: st.tuples(
+    st.lists(st.fractions(0, 1, max_denominator=50)
+             .filter(lambda v: 0 < v < 1), min_size=m, max_size=m,
+             unique=True).map(sorted),
+    st.lists(st.fractions(0, 3, max_denominator=20), min_size=m, max_size=m),
+))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(interior_combs)
+def test_three_routes_agree_on_random_rationals(comb):
+    x, lengths = comb
+    k_rec = comb_poly(x, lengths)
+    assert k_rec == comb_poly_triangulations(full_grid(x), full_gamma(lengths))
+    assert k_rec == comb_poly_permutations(full_grid(x), full_gamma(lengths))

@@ -290,3 +290,12 @@ def test_input_validation():
         estimate_Q(TRI, 2, 100)
     with pytest.raises(ValueError):
         estimate_Q(TRI, 4, 0)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_impossible_counts_are_rejected(count):
+    segs = [VerticalSegment(x, 0, 1) for x in (0, 1, 2)]
+    with pytest.raises(ValueError, match="samples"):
+        estimate_segments(segs, count)
+    with pytest.raises(ValueError, match="workers"):
+        estimate_Q(TRI, 4, 100, workers=count)

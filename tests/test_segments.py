@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sylvester.segments import (
     CompaError,
@@ -169,3 +170,44 @@ def test_symmetrized_integrand_is_four_sign_sum(x):
     sym = symmetrized_integrand(xbar, l_plus, l_minus)
     assert not sym.is_zero()
     assert sym == four_sign_reference(xbar, l_plus, l_minus)
+
+
+#: Normalized abscissa grids 0 = xbar_0 < ... < xbar_{N+1} = 1, N <= 4.
+grids = st.lists(
+    st.fractions(0, 1, max_denominator=40).filter(lambda v: 0 < v < 1),
+    max_size=4, unique=True,
+).map(lambda inner: (Fraction(0), *sorted(inner), Fraction(1)))
+rationals = st.fractions(-2, 2, max_denominator=16)
+nonnegative = st.fractions(0, 2, max_denominator=16)
+
+
+@st.composite
+def normalized_segments(draw):
+    """Segments already in normalized position: abscissas from 0 to 1, both
+    extreme segments centred on y = 0, interior half-widths at least the
+    trapezoid's."""
+    xbar = draw(grids)
+    L0, L1 = draw(nonnegative), draw(nonnegative)
+    segs = []
+    for j, x in enumerate(xbar):
+        inner = 0 < j < len(xbar) - 1
+        half = L0 + (L1 - L0) * x + (draw(nonnegative) if inner else 0)
+        middle = draw(rationals) if inner else Fraction(0)
+        segs.append(VerticalSegment(x, middle - half, middle + half))
+    return tuple(segs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(normalized_segments())
+def test_family_segments_of_normalize_round_trip(segs):
+    assert family_segments(normalize(segs)) == segs
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(grids.flatmap(lambda xbar: st.tuples(
+    st.just(xbar), st.lists(rationals, min_size=len(xbar) - 2,
+                            max_size=len(xbar) - 2).map(tuple))))
+def test_profile_to_offsets_of_slope_profile_round_trip(case):
+    xbar, inner = case
+    values = (Fraction(0), *inner, Fraction(0))
+    assert profile_to_offsets(slope_profile(values, xbar), xbar) == values
