@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -121,16 +120,6 @@ def _frame(body):
     raise TypeError(f"not a convex body: {body!r}")
 
 
-@lru_cache(maxsize=64)
-def _chords(body):
-    """(t, |a|^2, a.b/|a|^2, |det m|/|a|^2) for the rows a, b of m; cached
-    because the RB estimator slices the same body at every abscissa."""
-    m, t = _frame(body)
-    (a0, a1), (b0, b1) = m
-    n2 = a0 * a0 + a1 * a1
-    return t, n2, (a0 * b0 + a1 * b1) / n2, abs(_det2(m)) / n2
-
-
 # -- support and slicing ---------------------------------------------------
 
 
@@ -164,13 +153,14 @@ def y_bounds(body, x):
                 ys.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
         return min(ys), max(ys)
     # The image under m of the chord a.w = d of the unit disk.
-    (t0, t1), n2, shear, scale = _chords(body)
-    d = x - t0
-    room = n2 - d * d
-    if room < 0:
+    m, t = _frame(body)
+    (a0, a1), (b0, b1) = m
+    n2 = a0 * a0 + a1 * a1
+    d = x - t[0]
+    if d * d > n2:
         raise ValueError(f"abscissa {x} outside the body support")
-    mid = t1 + d * shear
-    half = scale * rational_sqrt(room)
+    mid = t[1] + d * (a0 * b0 + a1 * b1) / n2
+    half = abs(_det2(m)) / n2 * rational_sqrt(n2 - d * d)
     return mid - half, mid + half
 
 
