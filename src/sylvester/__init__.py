@@ -55,7 +55,7 @@ from .poly import (
     divide_exact,
     grid_identity_check,
 )
-from .rationals import DocumentError, Rational, format_rational, parse_rational
+from .rationals import DocumentError, format_rational
 from .segments import (
     CompaError,
     NormalizedFamily,

@@ -187,10 +187,6 @@ def area(body):
     return AreaValue(abs(_det2(_frame(body)[0])), 1)
 
 
-def area_float(body):
-    return float(area(body))
-
-
 # -- x-axis transforms -----------------------------------------------------
 
 

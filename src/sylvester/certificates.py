@@ -39,8 +39,8 @@ from .rationals import to_fraction
 from .segments import (
     U0,
     U1,
+    in_compa,
     profile_to_offsets,
-    slope_profile,
     symmetrized_integrand,
 )
 
@@ -50,10 +50,6 @@ XVARS = (X1, X2, X3)
 
 def _var(name):
     return MultiPoly.variable(name)
-
-
-def _c(value):
-    return MultiPoly.constant(to_fraction(value))
 
 
 class StructureError(Exception):
@@ -121,21 +117,19 @@ class CertificateReport:
 # -- the optimization differences -----------------------------------------
 
 
-def symbolic_difference(N, x, kind):
+def symbolic_difference(x, kind):
     """Difference of symmetrized integrands between two defect choices.
 
     ``kind`` is "majoration" (symmetric family minus general family) or
-    "minoration" (general family minus shaken family).  ``x`` holds the N
-    interior abscissas, numeric rationals; the result is a polynomial in
-    l0, l1 and the per-slice lam_j / beta_j symbols.
+    "minoration" (general family minus shaken family).  ``x`` holds the
+    N = 2 or 3 interior abscissas (`comb_poly` rejects unsorted ones or ones
+    outside (0, 1)); the result is a polynomial in l0, l1 and the per-slice
+    lam_j / beta_j symbols.
     """
+    x = [to_fraction(v) for v in x]
+    N = len(x)
     if N not in (2, 3):
         raise ValueError("N must be 2 or 3")
-    x = [to_fraction(v) for v in x]
-    if len(x) != N or any(a >= b for a, b in zip(x, x[1:])):
-        raise ValueError("need N strictly increasing interior abscissas")
-    if x[0] <= 0 or x[-1] >= 1:
-        raise ValueError("abscissas must lie strictly inside (0, 1)")
     xbar = [Fraction(0)] + x + [Fraction(1)]
     l0, l1 = _var("l0"), _var("l1")
     lam = [_var(f"lam{j}") for j in range(1, N + 1)]
@@ -237,11 +231,8 @@ class LinHelper:
     end_b: object
     value_b: MultiPoly
 
-    def symbolic(self) -> MultiPoly:
-        return self._symbolic
-
     @cached_property
-    def _symbolic(self):
+    def symbolic(self) -> MultiPoly:
         return linear_reconstruct(
             self.var, self.end_a, self.value_a, self.end_b, self.value_b
         )
@@ -249,35 +240,34 @@ class LinHelper:
 
 def _helpers():
     x1, x2, x3 = _var(X1), _var(X2), _var(X3)
-    one = _c(1)
     tbl = {}
 
     def lin(name, var, end_a, va, end_b, vb):
         tbl[name] = LinHelper(var, end_a, va, end_b, vb)
 
     lin("P0", X1, 0, x2**2 + x2 * x3 - 2 * x2**2 * x3, x2,
-        2 * x2 * (one - x2) * (x3 - x2))
+        2 * x2 * (1 - x2) * (x3 - x2))
     lin("P1", X3, x2,
-        x2 * (one - x2) * (-x1 * x2 - x1 + 2 * x2) * (x2 - x1), 1,
-        (one - x2) * ((x1 * x2 - x1) ** 2 + (one - x1) * (x2 - x1) * x2))
+        x2 * (1 - x2) * (-x1 * x2 - x1 + 2 * x2) * (x2 - x1), 1,
+        (1 - x2) * ((x1 * x2 - x1) ** 2 + (1 - x1) * (x2 - x1) * x2))
     lin("P2", X3, x2, x2 * (-x1 * x2 - x1 + 2 * x2) * (x2 - x1), 1,
         (x1 * x2 - x2) ** 2 + (x1 - x2) ** 2)
-    lin("P3", X3, x2, (one - x2) * (x1 * x2 + x1 - 2 * x2) * (x1 - x2), 1,
-        x2 * (one - x1) ** 2 * (one - x2))
+    lin("P3", X3, x2, (1 - x2) * (x1 * x2 + x1 - 2 * x2) * (x1 - x2), 1,
+        x2 * (1 - x1) ** 2 * (1 - x2))
     lin("P4", X1, 0, x2 * (-2 * x2 * x3 - x2 + 3 * x3), x2,
-        2 * x2 * (one - x2) * (x3 - x2))
+        2 * x2 * (1 - x2) * (x3 - x2))
     # The x2 endpoint of P5 is x2(1-x2)(x3-x2): the recomputation pins the
     # value (a stray factor 2 appears in some statements of it), and all
     # four P5-dependent coefficients match with this reading.
     lin("P5", X1, 0, x2 * (-x2 * x3 - x2 + 2 * x3), x2,
-        x2 * (one - x2) * (x3 - x2))
-    lin("P6", X1, 0, x2 * x3**2 * (one - x2), x2,
+        x2 * (1 - x2) * (x3 - x2))
+    lin("P6", X1, 0, x2 * x3**2 * (1 - x2), x2,
         x2 * (-x2 * x3 - x2 + 2 * x3) * (x3 - x2))
     lin("P7", X1, 0, (x2 * x3 - x3) ** 2 + (x2 - x3) ** 2, x2,
-        (one - x2) * (-x2 * x3 - x2 + 2 * x3) * (x3 - x2))
+        (1 - x2) * (-x2 * x3 - x2 + 2 * x3) * (x3 - x2))
     lin("P8", X1, 0,
-        x2 * ((x2 * x3 - x2) ** 2 + x3 * (one - x2) * (x3 - x2)), x2,
-        x2 * (one - x2) * (-x2 * x3 - x2 + 2 * x3) * (x3 - x2))
+        x2 * ((x2 * x3 - x2) ** 2 + x3 * (1 - x2) * (x3 - x2)), x2,
+        x2 * (1 - x2) * (-x2 * x3 - x2 + 2 * x3) * (x3 - x2))
     return tbl
 
 
@@ -288,12 +278,11 @@ HELPERS = _helpers()
 
 
 def _xvals(x):
-    x1, x2, x3 = (to_fraction(v) for v in x)
-    return {"x1": x1, "x2": x2, "x3": x3}
+    return dict(zip(XVARS, map(to_fraction, x)))
 
 
 def _lin_values(helpers, xs):
-    return {name: h.symbolic().evaluate(xs) for name, h in helpers.items()}
+    return {name: h.symbolic.evaluate(xs) for name, h in helpers.items()}
 
 
 def cone_coefficients_d2(x):
@@ -422,19 +411,18 @@ def f3_display(x):
     return f * 4
 
 
-def mirror_poly(poly, N=3):
-    """Index reversal of the per-slice symbols: the x -> 1-x reflection of
-    the family maps slice j to slice N+1-j."""
+def mirror_poly(poly):
+    """Index reversal of the per-slice symbols of the three slices: the
+    x -> 1-x reflection of the family maps slice j to slice 4-j."""
     mapping = {}
-    for j in range(1, N + 1):
+    for j in (1, 2, 3):
         for stem in ("lam", "beta", "p", "q"):
-            mapping[f"{stem}{j}"] = _var(f"{stem}{N + 1 - j}")
+            mapping[f"{stem}{j}"] = _var(f"{stem}{4 - j}")
     return poly.substitute(mapping)
 
 
 def mirror_x(x):
-    x = [to_fraction(v) for v in x]
-    return tuple(1 - v for v in reversed(x))
+    return tuple(1 - to_fraction(v) for v in reversed(x))
 
 
 # -- quadratic-form tables -------------------------------------------------
@@ -485,9 +473,8 @@ class PositivityVerdict:
 def _simplex_substitution(expr):
     # Order simplex 0 < x1 < x2 < x3 < 1 <-> open cube (a, b, c) in (0,1)^3.
     a, b, c = _var("a"), _var("b"), _var("c")
-    one = _c(1)
     return expr.substitute(
-        {X3: one - c, X2: (one - c) * b, X1: (one - c) * b * a}
+        {X3: 1 - c, X2: (1 - c) * b, X1: (1 - c) * b * a}
     )
 
 
@@ -634,8 +621,8 @@ def verify_n4(grid_size=6) -> CertificateReport:
     def checks_at(x):
         x1, x2 = x
         w1, w2 = 4 * (1 - x2) / (1 - x1), 4 * x1 / x2
-        maj = symbolic_difference(2, x, "majoration")
-        mino = symbolic_difference(2, x, "minoration")
+        maj = symbolic_difference(x, "majoration")
+        mino = symbolic_difference(x, "minoration")
         return {
             "n4 symmetrization difference": grid_identity_check(
                 maj, w2 * b2 * b2 + w1 * b1 * b1, _N4_BOUNDS
@@ -663,7 +650,7 @@ def verify_n5_cone(points=None) -> CertificateReport:
     def checks_at(x):
         # The parts of the difference are four times the published ones,
         # and so is _cone_poly.
-        diff = to_slope_variables(symbolic_difference(3, x, "minoration"), x)
+        diff = to_slope_variables(symbolic_difference(x, "minoration"), x)
         d0, d1, d2 = _split_l0_l1(diff)
         table2 = cone_coefficients_d2(x)
         xm = mirror_x(x)
@@ -700,7 +687,7 @@ def _lin_positivity(helpers, prefix, whole):
         for label, expr in (
             ("endpoint (low)", h.value_a),
             ("endpoint (high)", h.value_b),
-            (whole, h.symbolic()),
+            (whole, h.symbolic),
         )
     ]
 
@@ -709,14 +696,13 @@ def _prefactor_positivity_checks():
     """The monomial-type prefactors of the published coefficients (numerators
     after clearing simplex-positive denominators)."""
     x1, x2, x3 = _var(X1), _var(X2), _var(X3)
-    one = _c(1)
     atoms = {
         "x1": x1,
         "x2": x2,
         "x3": x3,
-        "1-x1": one - x1,
-        "1-x2": one - x2,
-        "1-x3": one - x3,
+        "1-x1": 1 - x1,
+        "1-x2": 1 - x2,
+        "1-x3": 1 - x3,
         "x2-x1": x2 - x1,
         "x3-x1": x3 - x1,
         "x3-x2": x3 - x2,
@@ -735,7 +721,7 @@ def verify_n5_quadratic(points=None) -> CertificateReport:
     p = [_var(f"p{j}") for j in range(1, 4)]
 
     def checks_at(x):
-        f1, f2, f3 = _split_l0_l1(symbolic_difference(3, x, "majoration"))
+        f1, f2, f3 = _split_l0_l1(symbolic_difference(x, "majoration"))
         f1_q = to_slope_variables(f1, x)
         f3_q = to_slope_variables(f3, x)
         table2 = cone_coefficients_d2(x)
@@ -766,13 +752,12 @@ def _minor_endpoint_g():
     """Endpoint data for the Lin factors g appearing in the published minor
     factorizations, keyed by minor name; N[2], M1[2] and M2[2] share one."""
     x1, x2, x3 = _var(X1), _var(X2), _var(X3)
-    one = _c(1)
     g2 = LinHelper(
         X1,
         Fraction(0),
         (-2 * x2 * x3 + x2 + x3) * (-2 * x2 * x3 - x2 + 3 * x3),
         x2,
-        (one - x2) * (-4 * x2 * x3 + x2 + 3 * x3) * (x3 - x2),
+        (1 - x2) * (-4 * x2 * x3 + x2 + 3 * x3) * (x3 - x2),
     )
     return {
         "N[2]": g2,
@@ -781,16 +766,16 @@ def _minor_endpoint_g():
         "N[3]": LinHelper(
             X3,
             x2,
-            2 * (one - x2) * (3 * x1 * x2 - x1 - 2 * x2) * (x1 - x2),
+            2 * (1 - x2) * (3 * x1 * x2 - x1 - 2 * x2) * (x1 - x2),
             Fraction(1),
-            6 * x2 * (one - x1) ** 2 * (one - x2),
+            6 * x2 * (1 - x1) ** 2 * (1 - x2),
         ),
         "M1[3]": LinHelper(
             X3,
             x2,
-            (one - x2) * (-3 * x1 * x2 + x1 + 2 * x2) * (x2 - x1),
+            (1 - x2) * (-3 * x1 * x2 + x1 + 2 * x2) * (x2 - x1),
             Fraction(1),
-            3 * x2 * (one - x1) ** 2 * (one - x2),
+            3 * x2 * (1 - x1) ** 2 * (1 - x2),
         ),
     }
 
@@ -847,38 +832,29 @@ def _check_minor_factorizations(x, ms):
     return out
 
 
-def verify_all(points=None, grid_size=6) -> CertificateReport:
-    report = verify_n4(grid_size)
-    report.merge(verify_n5_cone(points))
-    report.merge(verify_n5_quadratic(points))
-    return report
+def verify_all() -> CertificateReport:
+    return verify_n4().merge(verify_n5_cone()).merge(verify_n5_quadratic())
 
 
 # -- falsification search (informational) ----------------------------------
 
 
-def compa_violation_witness(x=None, tries=4000, seed=0):
+def compa_violation_witness(tries=4000):
     """Search for a defect with |beta_j| <= lam_j only (slope condition
-    violated) that makes the shaking difference negative.
+    violated) making the shaking difference at x = (1/5, 1/2, 4/5) negative.
 
     Such witnesses are expected to exist: the slope condition is genuinely
     needed, not an artifact.  Returns (lam, beta, value) or None.
     """
-    if x is None:
-        x = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
-    diff = symbolic_difference(3, x, "minoration")
-    rng = random.Random(seed)
-    xbar = [Fraction(0), *(to_fraction(v) for v in x), Fraction(1)]
+    x = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+    diff = symbolic_difference(x, "minoration")
+    rng = random.Random(0)
     for _ in range(tries):
         lam = [Fraction(rng.randrange(0, 50), 50) for _ in range(3)]
         beta = [
             Fraction(rng.randrange(-50, 51), 50) * l for l in lam
         ]
-        full_l = [Fraction(0), *lam, Fraction(0)]
-        full_b = [Fraction(0), *beta, Fraction(0)]
-        ps = slope_profile(full_l, xbar)
-        qs = slope_profile(full_b, xbar)
-        if all(abs(qj) <= pj for pj, qj in zip(ps, qs)):
+        if in_compa([0, *lam, 0], [0, *beta, 0], [0, *x, 1]):
             continue  # inside the admissible set; not a candidate
         assignment = {"l0": Fraction(1), "l1": Fraction(1)}
         for j in range(3):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import bodies, certificates, closed_forms, combs, montecarlo, segments
 from .poly import MultiPoly
-from .rationals import DocumentError, format_rational, parse_rational
+from .rationals import DocumentError, format_rational
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -158,7 +158,7 @@ def _rational_list(text, option):
     values = []
     for part in filter(None, text.split(",")):
         try:
-            values.append(parse_rational(part))
+            values.append(Fraction(part))
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"{option}: invalid rational {part!r}") from None
     return values
@@ -169,12 +169,7 @@ def _value_doc(value):
 
 
 def _run_config(args):
-    config = {"command": args.command, "output": args.output}
-    for key in ("seed", "samples", "workers", "n", "body", "case", "op",
-                "rb", "check", "x", "lengths", "comb", "family"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            config[key] = getattr(args, key)
-    return config
+    return {k: v for k, v in vars(args).items() if v is not None}
 
 
 def _emit(doc, args, rows=None):

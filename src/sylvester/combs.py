@@ -18,10 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .poly import MultiPoly
 from .rationals import format_rational, read_field, to_fraction
 
+#: Largest m that `comb_poly_permutations` accepts (its cost is m!).
 PERMUTATION_CAP = 7
 
 
@@ -68,12 +70,17 @@ def _check_interior_abscissas(x):
         raise ValueError("abscissas must lie strictly inside (0, 1)")
 
 
-def _check_full_abscissas(x):
+def _full_range(x, gamma):
+    """Checked abscissas 0 = x_0 < ... < x_(m+1) = 1 and one value each."""
+    x = [to_fraction(v) for v in x]
     if len(x) < 2 or x[0] != 0 or x[-1] != 1:
         raise ValueError("expected abscissas starting at 0 and ending at 1")
     for a, b in zip(x, x[1:]):
         if a >= b:
             raise ValueError("abscissas must be strictly increasing")
+    if len(gamma) != len(x):
+        raise ValueError("abscissa / value count mismatch")
+    return x, [v if isinstance(v, MultiPoly) else to_fraction(v) for v in gamma]
 
 
 def comb_poly(x, lengths):
@@ -149,11 +156,7 @@ def comb_poly_triangulations(x, gamma):
     ``x`` and ``gamma`` cover the full index range 0..m+1; the boundary
     values gamma[0], gamma[m+1] are unrestricted.
     """
-    x = [to_fraction(v) for v in x]
-    _check_full_abscissas(x)
-    if len(gamma) != len(x):
-        raise ValueError("abscissa / value count mismatch")
-    gamma = [v if isinstance(v, MultiPoly) else to_fraction(v) for v in gamma]
+    x, gamma = _full_range(x, gamma)
     m = len(x) - 2
     total = Fraction(0)
     for tri in enumerate_triangulations(m):
@@ -164,25 +167,21 @@ def comb_poly_triangulations(x, gamma):
     return total
 
 
-def comb_poly_permutations(x, gamma, cap=PERMUTATION_CAP):
+def comb_poly_permutations(x, gamma):
     """K* as an average over all insertion orders of the interior points.
 
     Each inserted point contributes its vertical distance to the chord
     between its nearest already-placed neighbours (boundary included).
-    Cost is m!, capped.
+    Cost is m!, so m is capped at PERMUTATION_CAP.
     """
-    x = [to_fraction(v) for v in x]
-    _check_full_abscissas(x)
-    if len(gamma) != len(x):
-        raise ValueError("abscissa / value count mismatch")
-    gamma = [v if isinstance(v, MultiPoly) else to_fraction(v) for v in gamma]
+    x, gamma = _full_range(x, gamma)
     m = len(x) - 2
-    if m > cap:
-        raise ValueError(f"m={m} exceeds the permutation cap {cap}")
-    import itertools
-
+    if m > PERMUTATION_CAP:
+        raise ValueError(
+            f"m={m} exceeds the permutation cap {PERMUTATION_CAP}"
+        )
     total = Fraction(0)
-    for sigma in itertools.permutations(range(1, m + 1)):
+    for sigma in permutations(range(1, m + 1)):
         placed = [0, m + 1]
         prod = Fraction(1)
         for idx in sigma:

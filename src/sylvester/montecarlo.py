@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -49,16 +49,7 @@ class EstimateResult:
     workers: int
 
     def to_json(self):
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "hits": self.hits,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "ci95": list(self.ci95),
-            "seed": self.seed,
-            "workers": self.workers,
-        }
+        return dict(asdict(self), ci95=list(self.ci95))
 
 
 def _binomial_result(n, samples, hits, seed, workers):
@@ -251,7 +242,9 @@ def estimate_Q_rb(body, n, samples, seed=0) -> EstimateResult:
     average the exact conditional probability given them.
 
     The returned std_error comes from the sample variance of the
-    conditionals; `hits` is None (there is no underlying indicator count).
+    conditionals (at one sample, 0.5: the largest standard deviation of a
+    [0, 1]-valued conditional) and ci95 lies in [0, 1]; `hits` is None
+    (there is no underlying indicator count).
     """
     if n not in (3, 4, 5):
         raise ValueError("conditional estimator supports n in {3, 4, 5}")
@@ -262,15 +255,19 @@ def estimate_Q_rb(body, n, samples, seed=0) -> EstimateResult:
     )
     values = conditional_samples(body, n, samples, rng)
     estimate = float(np.mean(values))
-    var = float(np.var(values, ddof=1)) if samples > 1 else 0.0
-    std_error = math.sqrt(var / samples)
+    if samples > 1:
+        std_error = math.sqrt(float(np.var(values, ddof=1)) / samples)
+        ci95 = (max(0.0, estimate - 1.96 * std_error),
+                min(1.0, estimate + 1.96 * std_error))
+    else:
+        std_error, ci95 = 0.5, (0.0, 1.0)
     return EstimateResult(
         n=n,
         samples=samples,
         hits=None,
         estimate=estimate,
         std_error=std_error,
-        ci95=(estimate - 1.96 * std_error, estimate + 1.96 * std_error),
+        ci95=ci95,
         seed=seed,
         workers=1,
     )

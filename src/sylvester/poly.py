@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import product as iter_product
 from math import gcd, lcm
 from operator import add, itemgetter
 
@@ -408,23 +407,16 @@ def as_poly(value, variables=()) -> MultiPoly:
     return MultiPoly.constant(value, variables)
 
 
-def _grid_values(count):
-    # Distinct rationals avoiding 0 and 1, so that substituting them into
-    # expressions with (x, 1-x, ...) style denominators stays safe.
-    return [Fraction(2 * k + 3, 2 * k + 4) for k in range(count)]
-
-
 def grid_identity_check(lhs: MultiPoly, rhs: MultiPoly, degree_bounds) -> bool:
-    """Deterministic polynomial identity test on an evaluation grid.
+    """Polynomial identity test under declared per-variable degree bounds.
 
-    Two polynomials of per-variable degree <= d_i agree iff they agree on a
-    tensor grid of (d_i + 1) distinct points per variable.  Declared bounds
-    below the true degrees of lhs - rhs raise DegreeBoundError (the check is
-    then inconclusive, never reported as equality).
-    """
+    Bounds below the true degrees of lhs - rhs raise DegreeBoundError (the
+    check is then inconclusive, never reported as equality).  Within them,
+    a tensor grid of (d_i + 1) distinct points per variable would accept
+    exactly when lhs - rhs is the zero polynomial (Alon's grid lemma), which
+    the canonical MultiPoly form decides directly."""
     diff = lhs - rhs
-    names = sorted(diff.used_variables())
-    for name in names:
+    for name in sorted(diff.used_variables()):
         if name not in degree_bounds:
             raise DegreeBoundError(f"no degree bound declared for {name}")
         if diff.degree(name) > degree_bounds[name]:
@@ -432,11 +424,7 @@ def grid_identity_check(lhs: MultiPoly, rhs: MultiPoly, degree_bounds) -> bool:
                 f"true degree in {name} exceeds declared bound "
                 f"{degree_bounds[name]}"
             )
-    if not names:
-        return diff.is_zero()
-    axes = [_grid_values(degree_bounds[name] + 1) for name in names]
-    return all(diff.evaluate(dict(zip(names, point))) == 0
-               for point in iter_product(*axes))
+    return diff.is_zero()
 
 
 def divide_exact(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:

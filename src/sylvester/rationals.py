@@ -10,8 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-Rational = Fraction
-
 #: Precision (bits after the binary point) of rational approximations of
 #: irrational quantities (disk/ellipse slice bounds).
 SQRT_PRECISION_BITS = 80
@@ -24,26 +22,14 @@ PI_RATIONAL = Fraction(
 
 
 def to_fraction(value) -> Fraction:
-    """Coerce ints, floats, strings ("p/q" or decimal) and Fractions."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    """Coerce anything Fraction takes: rationals, floats, "p/q" strings."""
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def format_rational(value: Fraction) -> str:
     """Serialize as "p/q" (always with the slash, even for integers)."""
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 class DocumentError(ValueError):
@@ -83,11 +69,11 @@ def _template(shape):
     return "[" + ", ".join(items + ["..."] * (shape[0] is None)) + "]"
 
 
-def rational_sqrt(value: Fraction, bits: int = SQRT_PRECISION_BITS) -> Fraction:
-    """Rational approximation of sqrt(value), accurate to ~2^-bits.
+def rational_sqrt(value: Fraction) -> Fraction:
+    """Rational approximation of sqrt(value), accurate to ~2^-b.
 
-    The result r satisfies |r - sqrt(value)| <= 2^(1-bits) * max(1, sqrt(value)),
-    and is exact when value is the square of a rational.
+    With b = SQRT_PRECISION_BITS, |r - sqrt(value)| <= 2^(1-b) *
+    max(1, sqrt(value)), and r is exact when value is a rational square.
     """
     value = Fraction(value)
     if value < 0:
@@ -95,16 +81,16 @@ def rational_sqrt(value: Fraction, bits: int = SQRT_PRECISION_BITS) -> Fraction:
     a, b = isqrt(value.numerator), isqrt(value.denominator)
     if (a * a, b * b) == (value.numerator, value.denominator):
         return Fraction(a, b)
-    scale = 1 << bits
+    scale = 1 << SQRT_PRECISION_BITS
     n = value.numerator * scale * scale
     return Fraction(isqrt(n // value.denominator), scale)
 
 
-def round_to_dyadic(x: float, bits: int = 26) -> Fraction:
+def round_to_dyadic(x: float, bits: int) -> Fraction:
     """Round a float to a rational with denominator 2^bits.
 
     Keeps integer sizes small in downstream exact arithmetic; the
-    perturbation (<= 2^-27) is negligible against Monte Carlo noise.
+    perturbation is at most 2^-(bits + 1).
     """
     scale = 1 << bits
     return Fraction(round(x * scale), scale)

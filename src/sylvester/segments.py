@@ -298,18 +298,21 @@ def _average_over_extreme(poly, var, half_width):
     return poly.integrate_box(var, -half_width, half_width) / (2 * half_width)
 
 
-def clamped_family(family: NormalizedFamily, tolerance=Fraction(1, 10**9)):
+#: Largest violation of the admissible set that `clamped_family` repairs.
+CLAMP_TOLERANCE = Fraction(1, 10**9)
+
+
+def clamped_family(family: NormalizedFamily):
     """Clamp a float-derived defect into the admissible set.
 
     Rounding can push |beta_j| marginally above lam_j or |q_j| above p_j;
-    violations within ``tolerance`` are clamped (beta capped at lam, then
+    violations within CLAMP_TOLERANCE are clamped (beta capped at lam, then
     scaled toward zero until the slope condition holds), larger ones raise.
     """
-    tolerance = to_fraction(tolerance)
     beta = list(family.beta)
     for j, (b, l) in enumerate(zip(beta, family.lam)):
         if abs(b) > l:
-            if abs(b) - l > tolerance:
+            if abs(b) - l > CLAMP_TOLERANCE:
                 raise CompaError(
                     f"defect exceeds excess by {abs(b) - l} at slice {j}"
                 )
@@ -319,7 +322,7 @@ def clamped_family(family: NormalizedFamily, tolerance=Fraction(1, 10**9)):
     scale = Fraction(1)
     for pj, qj in zip(p, q):
         if abs(qj) > pj:
-            if abs(qj) - pj > tolerance:
+            if abs(qj) - pj > CLAMP_TOLERANCE:
                 raise CompaError(f"slope defect exceeds bound by {abs(qj) - pj}")
             if qj != 0:
                 scale = min(scale, pj / abs(qj))

@@ -345,3 +345,54 @@ def test_theorem1_single_sample_is_valid_json(capsys):
     validate(doc, "theorem1.json")
     assert all(row["std_error"] == 0 for row in doc["rows"])
     assert all(math.isfinite(row["z"]) for row in doc["rows"])
+
+
+def test_estimate_rb_single_sample_is_uncertain(capsys):
+    code, doc = run_json(capsys, ["estimate", "--rb", "--body", "square",
+                                  "--samples", "1", "--seed", "3"])
+    assert code == 0
+    validate(doc, "estimate.json")
+    assert doc["std_error"] == 0.5 and doc["ci95"] == [0.0, 1.0]
+
+
+FAMILY = json.dumps({
+    "xbar": ["0", "1/3", "2/3", "1"], "L0": "1/2", "L1": "1/2",
+    "lambda": ["0", "1/4", "1/4", "0"], "beta": ["0", "1/8", "1/8", "0"],
+})
+
+
+def test_run_config_echoes_parsed_options(capsys):
+    # Subcommands no golden file pins: command, output and every option the
+    # parser set, an omitted --lengths left out.
+    cases = [
+        (["comb", "--comb", COMB], {"comb": COMB}),
+        (["cond", "--family", FAMILY], {"family": FAMILY}),
+        (["kpoly", "--x", "1/3,2/3"], {"x": "1/3,2/3"}),
+        (["kpoly", "--x", "1/3,2/3", "--lengths", "1,1/2"],
+         {"x": "1/3,2/3", "lengths": "1,1/2"}),
+        (["transform", "--op", "sym", "--body", "triangle"],
+         {"op": "sym", "body": "triangle"}),
+        (["closed-forms"], {}),
+    ]
+    for argv, options in cases:
+        for output in ("json", "csv"):
+            code, out = run(capsys, argv + ["--output", output])
+            assert code == 0
+            first = out.splitlines()[0]
+            config = (json.loads(out)["run_config"] if output == "json"
+                      else json.loads(first.removeprefix("# run_config: ")))
+            assert config == {"command": argv[0], "output": output,
+                              **options}
+
+
+def test_readme_example_runs():
+    # The README's library example, run as written: a removed or renamed
+    # public name fails here before it breaks the documentation.
+    readme = (SRC_DIR.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    result = subprocess.run([sys.executable, "-c", block], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    exact, estimate = result.stdout.splitlines()
+    assert exact == "1/2" and abs(float(estimate) - 2 / 3) < 0.005

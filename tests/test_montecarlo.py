@@ -214,6 +214,30 @@ def test_rb_matches_plain():
     assert abs(rb.estimate - plain.estimate) < 4 * combined
 
 
+def test_rb_single_sample_claims_no_certainty():
+    # One conditional has no sample variance; the error bar is the widest a
+    # [0, 1]-valued mean can need, not zero.
+    for body, n, seed in ((SQUARE, 4, 3), (TRI, 5, 0), (DISK, 5, 1)):
+        result = estimate_Q_rb(body, n, 1, seed=seed)
+        assert 0 < result.estimate < 1
+        assert result.std_error == 0.5
+        assert result.ci95 == (0.0, 1.0)
+
+
+def test_rb_interval_is_clipped_to_unit_range():
+    # Two samples whose raw interval crosses 1 (square, n = 4) and 0
+    # (triangle, n = 5): the reported ends stop at the range of a probability.
+    for body, n, end in ((SQUARE, 4, 1), (TRI, 5, 0)):
+        result = estimate_Q_rb(body, n, 2, seed=2)
+        e, half = result.estimate, 1.96 * result.std_error
+        assert not 0 <= e + (half if end else -half) <= 1
+        assert result.ci95 == (max(0.0, e - half), min(1.0, e + half))
+        assert result.ci95[end] == end
+    result = estimate_Q_rb(SQUARE, 4, 2, seed=0)
+    e, half = result.estimate, 1.96 * result.std_error
+    assert result.ci95 == (e - half, e + half)
+
+
 def test_rb_conditional_values():
     # equally spaced slices of the unit square
     value = rb_conditional(SQUARE, [Fraction(k, 3) for k in range(4)])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -237,6 +238,34 @@ def test_equality_and_hash_ignore_variable_order(p, order):
     assert p == q and q == p
     assert hash(p) == hash(q)
     assert p + 1 != q
+
+
+def grid_oracle(lhs, rhs, degree_bounds):
+    """The former evaluation of grid_identity_check, kept as an oracle: the
+    difference vanishes on a tensor grid of (d + 1) distinct points per
+    variable, d its declared degree bound."""
+    diff = lhs - rhs
+    names = sorted(diff.used_variables())
+    if not names:
+        return diff.is_zero()
+    axes = [[Fraction(2 * k + 3, 2 * k + 4)
+             for k in range(degree_bounds[name] + 1)] for name in names]
+    return all(diff.evaluate(dict(zip(names, point))) == 0
+               for point in product(*axes))
+
+
+@PROPERTY
+@given(polys(), polys(), polys(), st.permutations(NAMES), st.integers(0, 1))
+def test_grid_identity_check_matches_grid(p, q, delta, order, slack):
+    # lhs and rhs build the same polynomial in different variable orders;
+    # a zero delta keeps them equal, any other makes them differ.  Bounds
+    # are the true degrees of the difference, raised by ``slack``.
+    lhs = p * q + delta
+    rhs = q.with_variables(order) * p.with_variables(order[::-1])
+    bounds = {name: (lhs - rhs).degree(name) + slack for name in NAMES}
+    verdict = grid_identity_check(lhs, rhs, bounds)
+    assert verdict == grid_oracle(lhs, rhs, bounds)
+    assert verdict == delta.is_zero()
 
 
 def test_constant_hashes_like_its_value():
