@@ -22,7 +22,6 @@ from .bodies import (
 )
 from .certificates import (
     CertificateReport,
-    PositivityVerdict,
     compa_violation_witness,
     linear_reconstruct,
     positivity_check,

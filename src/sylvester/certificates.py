@@ -21,8 +21,8 @@ Every "> 0" claim is certified on the ordered simplex
 certificate: the power coefficients of p(t/(1+t)) (1+t)^d are the
 Bernstein coefficients of p on [0, 1]^d up to positive binomial factors, so
 when they are all nonnegative p is a sum of nonnegative monomials in the
-v and 1 - v.  Endpoint-linear recursion covers degree-1 factors; dense
-sampling is only ever reported, never silently accepted as a certificate.
+v and 1 - v.  That certificate is the only method: a claim it does not
+certify fails.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class IdentityCheck:
 @dataclass
 class PositivityCheck:
     name: str
-    method: str  # monomial-certificate | endpoint-linear | sampled-only
     passed: bool
+    method = "monomial-certificate"
 
     def to_json(self):
         return {"name": self.name, "method": self.method, "pass": self.passed}
@@ -96,9 +96,8 @@ class CertificateReport:
 
     @property
     def summary(self) -> bool:
-        return all(c.passed for c in self.identity_checks) and all(
-            c.passed and c.method != "sampled-only"
-            for c in self.positivity_checks
+        return all(
+            c.passed for c in self.identity_checks + self.positivity_checks
         )
 
     def merge(self, other):
@@ -459,17 +458,6 @@ def leading_minor(matrix, k):
 # -- positivity certification ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
-    status: str  # certified | sampled_only | refuted
-    method: str | None = None
-    witness: tuple | None = None
-
-    @property
-    def certified(self):
-        return self.status == "certified"
-
-
 def _simplex_substitution(expr):
     # Order simplex 0 < x1 < x2 < x3 < 1 <-> open cube (a, b, c) in (0,1)^3.
     a, b, c = _var("a"), _var("b"), _var("c")
@@ -511,51 +499,15 @@ def _bernstein_nonnegative(cube):
     return False
 
 
-_LIN_INTERVALS = {
-    X1: (Fraction(0), _var(X2)),
-    X2: (_var(X1), _var(X3)),
-    X3: (_var(X2), Fraction(1)),
-}
-
-
-def positivity_check(expr: MultiPoly, _depth=0) -> PositivityVerdict:
-    """Certify strict positivity on the open ordered simplex
-    0 < x1 < x2 < x3 < 1.
-
-    Tries, in order: a Bernstein certificate after the simplex-to-cube
-    substitution, endpoint-linear recursion for expressions of degree 1 in
-    some x_j, and finally dense rational sampling (which can only report,
-    or refute with a witness)."""
+def positivity_check(expr: MultiPoly) -> bool:
+    """Whether a Bernstein certificate proves ``expr`` > 0 on the open
+    ordered simplex 0 < x1 < x2 < x3 < 1.  False means no proof was found,
+    not that ``expr`` takes a nonpositive value there."""
     if not expr.used_variables() <= set(XVARS):
         raise ValueError("positivity domain is the x-simplex only")
-    if expr.is_zero():
-        return PositivityVerdict("refuted", witness=(Fraction(1, 4),) * 3)
-    if _bernstein_nonnegative(_simplex_substitution(expr)):
-        return PositivityVerdict("certified", "monomial-certificate")
-    if _depth < 3:
-        for var in XVARS:
-            if expr.degree(var) != 1:
-                continue
-            ends = (expr.substitute({var: e}) for e in _LIN_INTERVALS[var])
-            if all(positivity_check(e, _depth + 1).certified for e in ends):
-                return PositivityVerdict("certified", "endpoint-linear")
-    return _sample_positivity(expr)
-
-
-def _sample_positivity(expr):
-    rng = random.Random(0)
-    for _ in range(10_000):
-        vals = sorted(
-            Fraction(rng.randrange(1, 997), 997) for _ in range(3)
-        )
-        while len(set(vals)) < 3:
-            vals = sorted(
-                Fraction(rng.randrange(1, 997), 997) for _ in range(3)
-            )
-        xs = dict(zip(XVARS, vals))
-        if expr.evaluate(xs) <= 0:
-            return PositivityVerdict("refuted", witness=tuple(vals))
-    return PositivityVerdict("sampled_only", "sampled-only")
+    return not expr.is_zero() and _bernstein_nonnegative(
+        _simplex_substitution(expr)
+    )
 
 
 # -- default evaluation grids ----------------------------------------------
@@ -612,9 +564,11 @@ def _identity_checks(points, checks_at):
     ]
 
 
-def verify_n4(grid_size=6) -> CertificateReport:
+def verify_n4(points=None) -> CertificateReport:
     """Certify the two published n = 4 difference displays over an
     admissible abscissa grid."""
+    if points is None:
+        points = default_x_pairs()
     b1, b2 = _var("beta1"), _var("beta2")
     l1, l2 = _var("lam1"), _var("lam2")
 
@@ -633,9 +587,7 @@ def verify_n4(grid_size=6) -> CertificateReport:
             ),
         }
 
-    return CertificateReport(
-        _identity_checks(default_x_pairs(grid_size), checks_at)
-    )
+    return CertificateReport(_identity_checks(points, checks_at))
 
 
 def verify_n5_cone(points=None) -> CertificateReport:
@@ -673,10 +625,7 @@ def verify_n5_cone(points=None) -> CertificateReport:
 
 
 def _positivity(name, expr):
-    verdict = positivity_check(expr)
-    return PositivityCheck(
-        name, verdict.method or "sampled-only", verdict.certified
-    )
+    return PositivityCheck(name, positivity_check(expr))
 
 
 def _lin_positivity(helpers, prefix, whole):

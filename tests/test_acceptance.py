@@ -185,7 +185,8 @@ def test_criterion_6_certificates(capsys):
     ok &= out == VERIFY_GOLDEN.read_text()  # byte-identical output
     ok &= all(c["pass"] for c in doc["identity_checks"])
     ok &= all(
-        c["method"] != "sampled-only" for c in doc["positivity_checks"]
+        c["method"] == "monomial-certificate"
+        for c in doc["positivity_checks"]
     )
     record(6, "certificate suite", ok)
 

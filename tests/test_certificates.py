@@ -8,6 +8,7 @@ import sylvester.certificates as certs
 from sylvester.certificates import (
     HELPERS,
     compa_violation_witness,
+    default_x_pairs,
     default_x_triples,
     linear_reconstruct,
     mirror_x,
@@ -99,7 +100,7 @@ def test_helper_symbolic_matches_endpoints():
 
 
 def test_verify_n4_passes():
-    report = verify_n4(grid_size=4)
+    report = verify_n4(points=default_x_pairs(4))
     assert report.summary
     assert all(c.passed for c in report.identity_checks)
 
@@ -184,7 +185,7 @@ def test_no_points_is_an_error():
     with pytest.raises(ValueError):
         verify_n5_cone(points=[])
     with pytest.raises(ValueError):
-        verify_n4(grid_size=0)
+        verify_n4(points=[])
 
 
 def test_verify_n5_quadratic_passes():
@@ -197,15 +198,10 @@ def test_verify_n5_quadratic_passes():
 
 def test_positivity_check_methods():
     x1, x2, x3 = v("x1"), v("x2"), v("x3")
-    one = MultiPoly.constant(1)
-    assert positivity_check(x2 * (one - x3)).certified
-    verdict = positivity_check(x2 * x2 + x2 * x3 - 2 * x2 * x2 * x3)
-    assert verdict.certified and verdict.method == "monomial-certificate"
-    refuted = positivity_check(x1 - x2)
-    assert refuted.status == "refuted"
-    w = dict(zip(("x1", "x2", "x3"), refuted.witness))
-    assert (x1 - x2).evaluate(w) <= 0
-    assert positivity_check(MultiPoly.constant(0)).status == "refuted"
+    assert positivity_check(x2 * (1 - x3)) is True
+    assert positivity_check(HELPERS["P0"].value_a) is True
+    assert positivity_check(x1 - x2) is False
+    assert positivity_check(MultiPoly.constant(0)) is False
     with pytest.raises(ValueError):
         positivity_check(v("y"))
 

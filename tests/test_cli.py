@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -236,6 +237,25 @@ def test_verify_pretty(capsys):
     assert "summary: pass" in out
 
 
+def test_verify_golden_matches_schema():
+    doc = json.loads((DATA_DIR / "verify_all.json").read_text())
+    validate(doc, "verify.json")
+
+
+def test_uncertified_positivity_fails_closed(capsys, monkeypatch):
+    x1, x2 = MultiPoly.variable("x1"), MultiPoly.variable("x2")
+    check = certificates._positivity("t", x1 - x2)
+    assert check.to_json() == {
+        "name": "t", "method": "monomial-certificate", "pass": False,
+    }
+    report = certificates.CertificateReport(positivity_checks=[check])
+    assert not report.summary
+    monkeypatch.setattr(certificates, "verify_n4", lambda: report)
+    code, out = run(capsys, ["verify", "--case", "n4", "--output", "pretty"])
+    assert code == cli.EXIT_CERTIFICATE
+    assert "[FAIL] positivity: t [monomial-certificate]" in out.splitlines()
+
+
 def test_usage_errors(capsys):
     assert cli.main(["comb"]) == cli.EXIT_USAGE
     capsys.readouterr()
@@ -301,6 +321,17 @@ def test_structure_check_survives_optimize_flag():
     )
     assert proc.returncode != 0
     assert "StructureError: odd beta-degree term survived" in proc.stderr
+
+
+def test_no_assert_statements_in_package():
+    # Checks must still run under python -O, which strips assert statements.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC_DIR / "sylvester").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_workers_env_default(monkeypatch, capsys):
