@@ -1,21 +1,33 @@
 """Sparse multivariate polynomials over exact rationals.
 
-``_nums`` maps exponent tuples (one entry per variable, in the order of
-``variables``) to nonzero int numerators over one positive int ``_den``, with
-gcd(_den, *_nums.values()) == 1.  The form is canonical, so equality and
-hashing compare it directly; arithmetic runs on ints and reduces each result
-once, with a single gcd.  ``terms`` is a read-only {exponent tuple: Fraction}
-view of the same polynomial.  Values are immutable; all arithmetic is exact.
+A monomial is one packed int: each variable name owns a ``_WIDTH``-bit field,
+placed once per process on first use, so a product of monomials is one int
+addition and any two polynomials' keys compare as they are.  The top bit of
+each field is a guard, so an exponent above ``MAX_EXPONENT`` raises
+``OverflowError`` instead of carrying.  ``_nums`` maps monomials to nonzero
+int numerators over one positive int ``_den``, with gcd(_den, *_nums) == 1:
+canonical, so equality and hashing compare it directly.  ``variables`` only
+labels the polynomial, and ``terms`` is a read-only {exponent tuple over
+``variables``: Fraction} view, so no output depends on the field layout.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add, itemgetter
+from functools import reduce
+from math import gcd, lcm, prod
+from operator import or_
+from threading import Lock
 
-from .rationals import to_fraction
+from .rationals import format_rational, to_fraction
+
+_WIDTH = 8
+MAX_EXPONENT = (1 << _WIDTH - 1) - 1
+_FIELD = (1 << _WIDTH) - 1
+_OFFSETS = {}  # variable name -> bit offset of its field
+_GUARD = 0  # the guard bits of all fields in _OFFSETS
+_LOCK = Lock()
 
 
 class MissingVariableError(ValueError):
@@ -30,6 +42,32 @@ class DegreeBoundError(ValueError):
     """Declared degree bounds are below the true degrees: check inconclusive."""
 
 
+def _offset(name):
+    """Bit offset of the field of ``name``, assigned on first use, under _LOCK."""
+    global _GUARD
+    with _LOCK:
+        if name not in _OFFSETS:
+            _OFFSETS[name] = len(_OFFSETS) * _WIDTH
+            _GUARD |= 1 << _OFFSETS[name] + _WIDTH - 1
+        return _OFFSETS[name]
+
+
+def _pack(offsets, exps):
+    """The packed monomial of an exponent tuple over fields at ``offsets``."""
+    if len(exps) != len(offsets):
+        raise ValueError("exponent vector arity mismatch")
+    if not all(0 <= e <= MAX_EXPONENT for e in exps):
+        raise OverflowError(f"exponents {exps} outside 0..{MAX_EXPONENT}")
+    return sum(e << s for e, s in zip(exps, offsets))
+
+
+def _checked(nums):
+    """``nums``, unless a key, a sum of two in range, reached a guard bit."""
+    if reduce(or_, nums, 0) & _GUARD:
+        raise OverflowError(f"an exponent exceeds {MAX_EXPONENT}")
+    return nums
+
+
 def _ratio(value):
     """(numerator, positive denominator) of a rational scalar."""
     if type(value) is int:
@@ -38,22 +76,12 @@ def _ratio(value):
     return value.numerator, value.denominator
 
 
-def _picker(indices):
-    """Function taking an exponent tuple to its entries at ``indices``."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda e: (e[i],)
-    if not indices:
-        return lambda e: ()
-    return itemgetter(*indices)
-
-
 def _mul_into(out, a, b):
-    """Add the product of two numerator dicts into ``out``."""
+    """Add the product of two numerator dicts into ``out``, unchecked."""
     get = out.get
     for e2, c2 in b.items():
         for e1, c1 in a.items():
-            key = tuple(map(add, e1, e2))
+            key = e1 + e2
             out[key] = get(key, 0) + c1 * c2
     return out
 
@@ -76,23 +104,37 @@ def _make(variables, nums, den, reduce=True):
     return p
 
 
+def _union(av, bv):
+    """Result variables: an operand's covering the other's, else both's."""
+    if av == bv:
+        return av
+    if set(av) <= set(bv):
+        return bv
+    if set(bv) <= set(av):
+        return av
+    return tuple(dict.fromkeys(av + bv))
+
+
 class _TermsView(Mapping):
-    """Read-only {exponent tuple: Fraction} view of a MultiPoly."""
+    """Read-only {exponent tuple over ``variables``: Fraction} view."""
 
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums, den):
-        self._nums = nums
-        self._den = den
+    def __init__(self, poly):
+        self._poly = poly
+        self._offsets = [_offset(name) for name in poly.variables]
 
     def __getitem__(self, exps):
-        return Fraction(self._nums[exps], self._den)
+        try:
+            key = _pack(self._offsets, exps)
+        except (ValueError, OverflowError):
+            raise KeyError(exps) from None
+        return Fraction(self._poly._nums[key], self._poly._den)
 
     def __iter__(self):
-        return iter(self._nums)
+        offsets = self._offsets
+        return (tuple(e >> s & _FIELD for s in offsets) for e in self._poly._nums)
 
     def __len__(self):
-        return len(self._nums)
+        return len(self._poly._nums)
 
 
 class MultiPoly:
@@ -101,9 +143,8 @@ class MultiPoly:
     def __init__(self, variables, terms):
         """``terms`` maps exponent tuples to rationals; zeros are dropped."""
         self.variables = tuple(variables)
-        coeffs = {tuple(e): to_fraction(c) for e, c in terms.items()}
-        if any(len(e) != len(self.variables) for e in coeffs):
-            raise ValueError("exponent vector arity mismatch")
+        offsets = [_offset(name) for name in self.variables]
+        coeffs = {_pack(offsets, e): to_fraction(c) for e, c in terms.items()}
         # Over the lcm of reduced denominators the form is already canonical.
         den = lcm(*(c.denominator for c in coeffs.values()))
         self._nums = {
@@ -113,112 +154,85 @@ class MultiPoly:
         self._den = den
         self._hash = None
 
+    def __reduce__(self):
+        # Field offsets differ between processes; pickle exponent tuples.
+        return MultiPoly, (self.variables, dict(self.terms))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value, variables=()):
-        variables = tuple(variables)
         num, den = _ratio(value)
-        return _make(variables, {(0,) * len(variables): num}, den)
+        return _make(tuple(variables), {0: num}, den)
 
     @classmethod
     def variable(cls, name, variables=None):
         variables = (name,) if variables is None else tuple(variables)
-        i = variables.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return _make(variables, {exps: 1}, 1, reduce=False)
+        if name not in variables:
+            raise ValueError(f"{name!r} is not one of the variables")
+        return _make(variables, {1 << _offset(name): 1}, 1, reduce=False)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def terms(self):
-        return _TermsView(self._nums, self._den)
+        return _TermsView(self)
 
     def is_zero(self):
         return not self._nums
 
     def is_constant(self):
-        return not any(any(exps) for exps in self._nums)
+        return not any(self._nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        zero = (0,) * len(self.variables)
-        return Fraction(self._nums.get(zero, 0), self._den)
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def degree(self, var) -> int:
         """Degree in one variable; -1 kept at 0 for the zero polynomial."""
         if var not in self.variables:
             return 0
-        i = self.variables.index(var)
-        return max((exps[i] for exps in self._nums), default=0)
+        s = _offset(var)
+        return max((e >> s & _FIELD for e in self._nums), default=0)
 
     def total_degree(self) -> int:
-        return max((sum(exps) for exps in self._nums), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def used_variables(self):
-        names = self.variables
-        return {names[i] for exps in self._nums for i, e in enumerate(exps) if e}
+        present = reduce(or_, self._nums, 0)
+        return {v for v in self.variables if present >> _offset(v) & _FIELD}
 
     def even_part(self, names):
         """The terms of even degree in every named variable."""
-        idx = [self.variables.index(v) for v in names if v in self.variables]
-        nums = {
-            e: c for e, c in self._nums.items()
-            if not any(e[i] % 2 for i in idx)
-        }
+        odd = sum(1 << _offset(v) for v in set(names) if v in self.variables)
+        nums = {e: c for e, c in self._nums.items() if not e & odd}
         return _make(self.variables, nums, self._den)
 
-    # -- variable alignment ------------------------------------------------
+    # -- variable labels ---------------------------------------------------
 
     def with_variables(self, variables):
-        """Re-express over a superset (or reordering) of the variables."""
+        """The same polynomial labelled by ``variables``, which keep all it uses."""
         variables = tuple(variables)
-        old = self.variables
-        if variables == old:
-            return self
-        pad = len(variables) - len(old)
-        if pad >= 0 and variables[: len(old)] == old:
-            zeros = (0,) * pad
-            nums = {e + zeros: c for e, c in self._nums.items()}
-            return _make(variables, nums, self._den, reduce=False)
-        position = {name: i for i, name in enumerate(old)}
-        if not position.keys() <= set(variables):
-            missing = self.used_variables() - set(variables)
-            if missing:
-                raise ValueError(f"cannot drop used variables {sorted(missing)}")
-        # Index len(old) picks the 0 appended to each key.
-        pick = _picker([position.get(name, len(old)) for name in variables])
-        nums = {pick(e + (0,)): c for e, c in self._nums.items()}
-        return _make(variables, nums, self._den, reduce=False)
-
-    @staticmethod
-    def _align(a, b):
-        if not isinstance(b, MultiPoly):
-            b = MultiPoly.constant(b, a.variables)
-        av, bv = a.variables, b.variables
-        if av == bv:
-            return a, b
-        # An operand whose variables cover the other's is kept as it is.
-        if set(av) <= set(bv):
-            return a.with_variables(bv), b
-        if set(bv) <= set(av):
-            return a, b.with_variables(av)
-        merged = tuple(dict.fromkeys(av + bv))
-        return a.with_variables(merged), b.with_variables(merged)
+        missing = self.used_variables() - set(variables)
+        if missing:
+            raise ValueError(f"cannot drop used variables {sorted(missing)}")
+        return _make(variables, self._nums, self._den, reduce=False)
 
     # -- arithmetic --------------------------------------------------------
 
     def _plus(self, other, sign):
         """self + sign * other, for sign in (1, -1)."""
-        a, b = self._align(self, other)
-        g = gcd(a._den, b._den)
-        scale_a, scale_b = b._den // g, sign * (a._den // g)
-        nums = {e: c * scale_a for e, c in a._nums.items()}
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.constant(other)
+        g = gcd(self._den, other._den)
+        scale_a, scale_b = other._den // g, sign * (self._den // g)
+        nums = {e: c * scale_a for e, c in self._nums.items()}
         get = nums.get
-        for e, c in b._nums.items():
+        for e, c in other._nums.items():
             nums[e] = get(e, 0) + c * scale_b
-        return _make(a.variables, nums, a._den * scale_a)
+        variables = _union(self.variables, other.variables)
+        return _make(variables, nums, self._den * scale_a)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -240,9 +254,9 @@ class MultiPoly:
             num, den = _ratio(other)
             nums = {e: c * num for e, c in self._nums.items()}
             return _make(self.variables, nums, self._den * den)
-        a, b = self._align(self, other)
-        nums = _mul_into({}, a._nums, b._nums)
-        return _make(a.variables, nums, a._den * b._den)
+        nums = _checked(_mul_into({}, self._nums, other._nums))
+        variables = _union(self.variables, other.variables)
+        return _make(variables, nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -256,29 +270,21 @@ class MultiPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        out = MultiPoly.constant(1, self.variables)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        # One factor at a time, so that no power above the n-th is formed.
+        return prod([self] * n, start=MultiPoly.constant(1, self.variables))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other, self.variables)
+            other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        a, b = self._align(self, other)
-        return a._den == b._den and a._nums == b._nums
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
         if self._hash is None:
-            reduced = self.with_variables(tuple(sorted(self.used_variables())))
             # A constant equals its scalar value, so it hashes like one.
-            self._hash = hash((frozenset(reduced._nums.items()), reduced._den)
-                              if reduced.variables else reduced.constant_value())
+            self._hash = hash(self.constant_value() if self.is_constant()
+                              else (frozenset(self._nums.items()), self._den))
         return self._hash
 
     # -- evaluation and substitution ---------------------------------------
@@ -291,68 +297,62 @@ class MultiPoly:
                 raise MissingVariableError(missing)
         # Over the common denominator prod q_i^d_i of the point p_i / q_i,
         # where d_i is the degree in variable i, every term is an integer.
-        den, active, tables = self._den, [], []
-        for i, name in enumerate(self.variables):
+        den, offsets, tables = self._den, [], []
+        for name in self.variables:
             d = self.degree(name)
             if d:
                 p, q = _ratio(assignment[name])
-                active.append(i)
+                offsets.append(_offset(name))
                 tables.append([p**e * q ** (d - e) for e in range(d + 1)])
                 den *= q**d
         total = 0
-        for exps, c in self._nums.items():
-            for i, table in zip(active, tables):
-                c *= table[exps[i]]
+        for e, c in self._nums.items():
+            for s, table in zip(offsets, tables):
+                c *= table[e >> s & _FIELD]
             total += c
         return Fraction(total, den)
 
     def substitute(self, mapping):
         """Replace some variables, simultaneously, by rationals or polynomials."""
-        old = self.variables
-        subs = [i for i, name in enumerate(old) if name in mapping]
+        subs = [name for name in self.variables if name in mapping]
         if not subs:
             return self
-        keep = [i for i, name in enumerate(old) if name not in mapping]
-        values = [as_poly(mapping[old[i]]) for i in subs]
-        out = tuple(dict.fromkeys(
-            tuple(old[i] for i in keep) + sum((v.variables for v in values), ())
-        ))
-        one = {(0,) * len(out): 1}
+        values = [as_poly(mapping[name]) for name in subs]
+        rest = [name for name in self.variables if name not in mapping]
+        out = tuple(dict.fromkeys(rest + [v for p in values for v in p.variables]))
+        offsets = [_offset(name) for name in subs]
+        kept = ~sum(_FIELD << s for s in offsets)
         # Over prod d_s^K_s, for values N_s / d_s raised to at most K_s, the
         # power N_s^k / d_s^k has the integer numerator N_s^k * d_s^(K_s - k).
         den, powers = self._den, []
-        for i, value in zip(subs, values):
-            value = value.with_variables(out)
-            top = max((e[i] for e in self._nums), default=0)
+        for s, value in zip(offsets, values):
+            top = max((e >> s & _FIELD for e in self._nums), default=0)
             den *= value._den**top
-            table = [one]
+            table = [{0: 1}]
             for _ in range(top):
-                table.append(_mul_into({}, table[-1], value._nums))
+                table.append(_checked(_mul_into({}, table[-1], value._nums)))
             powers.append([{e: c * value._den ** (top - k) for e, c in t.items()}
                            for k, t in enumerate(table)])
         # Products of powers, each built from the product of its prefix.
-        products, nums = {(): one}, {}
-        pick_subs, pick_keep = _picker(subs), _picker(keep)
-        pad = (0,) * (len(out) - len(keep))
+        products, nums = {(): {0: 1}}, {}
         for e, c in self._nums.items():
-            key = pick_subs(e)
+            key = tuple(e >> s & _FIELD for s in offsets)
             for j, k in enumerate(key):
                 if key[: j + 1] not in products:
-                    products[key[: j + 1]] = _mul_into(
+                    products[key[: j + 1]] = _checked(_mul_into(
                         {}, products[key[:j]], powers[j][k]
-                    )
-            _mul_into(nums, {pick_keep(e) + pad: c}, products[key])
-        return _make(out, nums, den)
+                    ))
+            _mul_into(nums, {e & kept: c}, products[key])
+        return _make(out, _checked(nums), den)
 
     def coefficient_poly(self, var, power):
         """Coefficient of var**power, as a polynomial in the other variables."""
         if var not in self.variables:
             return self if power == 0 else MultiPoly.constant(0, self.variables)
-        i = self.variables.index(var)
-        others = [j for j in range(len(self.variables)) if j != i]
-        rest = tuple(self.variables[j] for j in others)
-        pick = _picker(others)
-        nums = {pick(e): c for e, c in self._nums.items() if e[i] == power}
+        s = _offset(var)
+        rest = tuple(name for name in self.variables if name != var)
+        nums = {e - (power << s): c for e, c in self._nums.items()
+                if e >> s & _FIELD == power}
         return _make(rest, nums, self._den)
 
     # -- calculus ----------------------------------------------------------
@@ -365,7 +365,7 @@ class MultiPoly:
         lo, hi = to_fraction(lo), to_fraction(hi)
         if var not in self.variables:
             return self * (hi - lo)
-        i = self.variables.index(var)
+        s = _offset(var)
         # Term x^e integrates to (hi^k - lo^k) / k, k = e + 1: an integer
         # over the common denominator lcm(1..top) * (qh * ql)^top.
         top = self.degree(var) + 1
@@ -378,8 +378,9 @@ class MultiPoly:
         nums = {}
         get = nums.get
         for e, c in self._nums.items():
-            key = e[:i] + (0,) + e[i + 1 :]
-            nums[key] = get(key, 0) + c * weight[e[i]]
+            k = e >> s & _FIELD
+            key = e - (k << s)
+            nums[key] = get(key, 0) + c * weight[k]
         return _make(self.variables, nums, self._den * whole * (qh * ql) ** top)
 
     # -- presentation ------------------------------------------------------
@@ -393,18 +394,16 @@ class MultiPoly:
         return "MultiPoly(" + (" + ".join(parts) or "0") + ")"
 
     def to_json(self):
-        from .rationals import format_rational
-
         return [
             {"coeff": format_rational(c), "exps": list(e)}
             for e, c in sorted(self.terms.items())
         ]
 
 
-def as_poly(value, variables=()) -> MultiPoly:
+def as_poly(value) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value
-    return MultiPoly.constant(value, variables)
+    return MultiPoly.constant(value)
 
 
 def grid_identity_check(lhs: MultiPoly, rhs: MultiPoly, degree_bounds) -> bool:
@@ -429,28 +428,27 @@ def grid_identity_check(lhs: MultiPoly, rhs: MultiPoly, degree_bounds) -> bool:
 
 def divide_exact(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     """Exact division p / divisor; raises if the division leaves a remainder.
-
-    Single-divisor reduction in lexicographic order; enough for the linear
-    and monomial divisors used by the certificate reconstructions.
-    """
+    Leading terms are reduced in packed-int order, which is a monomial order."""
     if not isinstance(divisor, MultiPoly):
         return p / divisor
     if divisor.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if divisor.is_constant():
         return p / divisor.constant_value()
-    p, divisor = MultiPoly._align(p, divisor)
+    variables = _union(p.variables, divisor.variables)
     lead = max(divisor._nums)
-    quotient = MultiPoly.constant(0, p.variables)
+    quotient = MultiPoly.constant(0, variables)
     remainder = p
     while not remainder.is_zero():
         e = max(remainder._nums)
-        if any(a < b for a, b in zip(e, lead)):
+        # A field of e below lead's borrows, which sets that field's guard
+        # bit, or makes the difference negative if it is the top field.
+        q_exps = e - lead
+        if q_exps < 0 or q_exps & _GUARD:
             raise ValueError("inexact polynomial division")
-        q_exps = tuple(a - b for a, b in zip(e, lead))
         num = remainder._nums[e] * divisor._den
         den = remainder._den * divisor._nums[lead]
-        q_term = _make(p.variables, {q_exps: num if den > 0 else -num}, abs(den))
+        q_term = _make(variables, {q_exps: num if den > 0 else -num}, abs(den))
         quotient = quotient + q_term
         remainder = remainder - q_term * divisor
     return quotient

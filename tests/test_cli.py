@@ -145,6 +145,27 @@ def test_estimate_malformed_body(capsys):
     )
 
 
+def test_malformed_body_and_family_shapes(capsys):
+    one_coordinate = json.dumps(
+        {"type": "polygon", "vertices": [["0"], ["1", "0"], ["0", "1"]]})
+    vertices = """field 'vertices' must be [["p/q", "p/q"], ...]"""
+    assert_document_error(capsys, ["estimate", "--body", one_coordinate],
+                          vertices)
+    for op in ("sym", "sha"):
+        assert_document_error(
+            capsys, ["transform", "--op", op, "--body", one_coordinate],
+            vertices)
+    assert_document_error(
+        capsys, ["transform", "--op", "sym", "--body", '{"type": "polygon"}'],
+        "missing field 'vertices'")
+    family = {"N": 2, "L0": "0", "L1": "0",
+              "lambda": ["0", "1/2", "1/2", "0"], "beta": ["0", "0", "0", "0"]}
+    for xbar in ("0,1/3,2/3,1", [["0"], "1/3", "2/3", "1"], {"0": "1"}):
+        assert_document_error(
+            capsys, ["cond", "--family", json.dumps(dict(family, xbar=xbar))],
+            """field 'xbar' must be ["p/q", ...]""")
+
+
 def test_estimate(capsys):
     code, doc = run_json(
         capsys,

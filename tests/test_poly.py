@@ -1,17 +1,28 @@
+import json
+import os
+import pickle
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sylvester import poly
 from sylvester.poly import (
+    MAX_EXPONENT,
     DegreeBoundError,
     MissingVariableError,
     MultiPoly,
     divide_exact,
     grid_identity_check,
 )
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def v(name):
@@ -101,6 +112,11 @@ def test_divide_exact():
     assert divide_exact(p, x - y) == x + y
     with pytest.raises(ValueError):
         divide_exact(x * x + 1, x)
+    # Whichever of x and y the layout puts first, one leading term lacks a
+    # divisor field below its highest and one above it: both are refused.
+    for p, q in ((x**3, x * y), (y**3, x * y), (x * y**2, x**2)):
+        with pytest.raises(ValueError):
+            divide_exact(p, q)
 
 
 def test_to_json():
@@ -273,3 +289,91 @@ def test_constant_hashes_like_its_value():
         c = MultiPoly.constant(value, ("x", "y"))
         assert c == value and hash(c) == hash(value)
         assert len({value, c}) == 1
+
+
+# -- packed monomials ---------------------------------------------------------
+
+
+def test_exponent_overflow_raises():
+    x, y = v("x"), v("y")
+    top = x**MAX_EXPONENT
+    assert top == x**64 * x**63 and top.degree("x") == MAX_EXPONENT
+    for overflow in (lambda: top * x, lambda: x**64 * x**64,
+                     lambda: x ** (MAX_EXPONENT + 1),
+                     lambda: top.substitute({"x": y**2}),
+                     lambda: MultiPoly(("x", "y"), {(1, MAX_EXPONENT + 1): 1})):
+        with pytest.raises(OverflowError):
+            overflow()
+    assert (MultiPoly(("x", "y"), {(1, MAX_EXPONENT): 2})
+            == 2 * x * top.substitute({"x": y}))
+
+
+#: Loads ``sylvester.poly`` alone, so that no import-time table of the
+#: package takes a field first, registers the names given, then runs the
+#: command; prints its exit code and stdout, the field layout, and the repr
+#: of a polynomial unpickled from the bytes given.
+LAYOUT_SCRIPT = """
+import contextlib, importlib.util, io, json, pickle, sys, types
+argv, order, pickled = json.loads(sys.argv[1])
+stub = types.ModuleType("sylvester")
+stub.__path__ = importlib.util.find_spec("sylvester").submodule_search_locations
+sys.modules["sylvester"] = stub
+from sylvester import poly
+for name in order:
+    poly.MultiPoly.variable(name)
+del sys.modules["sylvester"]
+from sylvester import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(argv)
+print(json.dumps([code, out.getvalue(), list(poly._OFFSETS),
+                  repr(pickle.loads(bytes.fromhex(pickled)))]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["kpoly", "--x", "1/5,2/5,3/5,4/5"],
+                                  ["verify", "--case", "n4"]])
+def test_outputs_do_not_depend_on_field_layout(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    p = MultiPoly(("l2", "l1"), {(2, 0): Fraction(1, 3), (1, 5): -2})
+    pickled = pickle.dumps(p).hex()
+
+    def run(order):
+        proc = subprocess.run(
+            [sys.executable, "-c", LAYOUT_SCRIPT,
+             json.dumps([argv, order, pickled])],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    code, fresh, layout, fresh_p = run([])
+    assert code == 0 and fresh
+    again, reversed_out, reversed_layout, reversed_p = run(layout[::-1])
+    assert reversed_layout == layout[::-1] != layout
+    assert (again, reversed_out) == (code, fresh)
+    assert fresh_p == reversed_p == repr(p)
+
+
+def test_concurrent_registration_gets_distinct_fields():
+    names = [[f"reg{t}_{i}" for i in range(200)] for t in range(4)]
+    polys = {}
+
+    def register(batch):
+        for name in batch:
+            polys[name] = MultiPoly.variable(name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=register, args=(batch,))
+                   for batch in names]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    every = [name for batch in names for name in batch]
+    assert len({poly._OFFSETS[name] for name in every}) == len(every)
+    assert len({next(iter(polys[name]._nums)) for name in every}) == len(every)
