@@ -3,7 +3,9 @@ behind the n = 4 and n = 5 convex-position inequalities.
 
 The two optimization differences (symmetrized-versus-general and
 general-versus-shaken) are recomputed from the comb calculus at exact
-rational abscissa points and matched against their published closed forms:
+rational abscissa points, both from one integrand of the general family by
+beta := 0 (the symmetral) and beta := lam (the shaken family), and matched
+against their published closed forms:
 the two n = 4 displays, the n = 5 cone decomposition (18 + 6 coefficients
 with the Lin-interpolated helper polynomials P0..P8), and the n = 5
 quadratic forms with their leading-principal-minor factorizations.  The
@@ -124,34 +126,32 @@ def symbolic_difference(x, kind):
     N = 2 or 3 interior abscissas (`comb_poly` rejects unsorted ones or ones
     outside (0, 1)); the result is a polynomial in l0, l1 and the per-slice
     lam_j / beta_j symbols.
+
+    Both differences come from one integrand of the general family, with
+    slice parts L + lam +- beta: beta := 0 gives the symmetral (both parts
+    L + lam) and beta := lam the shaken family (parts L + 2 lam and L).
+    Substitution is a ring homomorphism, so this is exact.
     """
     x = [to_fraction(v) for v in x]
     N = len(x)
     if N not in (2, 3):
         raise ValueError("N must be 2 or 3")
+    if kind not in ("majoration", "minoration"):
+        raise ValueError("kind must be 'majoration' or 'minoration'")
     xbar = [Fraction(0)] + x + [Fraction(1)]
     l0, l1 = _var("l0"), _var("l1")
     lam = [_var(f"lam{j}") for j in range(1, N + 1)]
-    beta = [_var(f"beta{j}") for j in range(1, N + 1)]
-    L = [l0 + (l1 - l0) * xb for xb in xbar[1:-1]]
-
-    def G(lp, lm):
-        return symmetrized_integrand(xbar, lp, lm)
-
+    names = [f"beta{j}" for j in range(1, N + 1)]
+    beta = [_var(name) for name in names]
+    top = [l0 + (l1 - l0) * xb + lj for xb, lj in zip(x, lam)]
+    general = symmetrized_integrand(
+        xbar, [t + b for t, b in zip(top, beta)],
+        [t - b for t, b in zip(top, beta)],
+    )
     if kind == "majoration":
-        top = [L[j] + lam[j] for j in range(N)]
-        plus = [L[j] + lam[j] + beta[j] for j in range(N)]
-        minus = [L[j] + lam[j] - beta[j] for j in range(N)]
-        diff = G(top, top) - G(plus, minus)
-    elif kind == "minoration":
-        plus = [L[j] + lam[j] + beta[j] for j in range(N)]
-        minus = [L[j] + lam[j] - beta[j] for j in range(N)]
-        shaken = [L[j] + 2 * lam[j] for j in range(N)]
-        base = [L[j] for j in range(N)]
-        diff = G(plus, minus) - G(shaken, base)
+        diff = general.substitute(dict.fromkeys(names, 0)) - general
     else:
-        raise ValueError("kind must be 'majoration' or 'minoration'")
-
+        diff = general - general.substitute(dict(zip(names, lam)))
     _check_structure(diff, N, kind)
     return diff
 

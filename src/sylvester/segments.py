@@ -75,7 +75,10 @@ class NormalizedFamily:
             if a >= b:
                 raise ValueError("abscissas must be strictly increasing")
         if len(self.lam) != len(self.xbar) or len(self.beta) != len(self.xbar):
-            raise ValueError("lam/beta length mismatch")
+            raise ValueError(
+                f"length mismatch: xbar has {len(self.xbar)} entries, "
+                f"lambda {len(self.lam)}, beta {len(self.beta)}"
+            )
         if self.lam[0] != 0 or self.lam[-1] != 0:
             raise ValueError("lam must vanish at the boundary")
         if self.beta[0] != 0 or self.beta[-1] != 0:
@@ -236,18 +239,15 @@ def convexity_integrand(xbar, l_plus, l_minus):
     interior_x = xbar[1:-1]
     # Ordinate of the chord from (0, u0) to (1, u1) at each interior abscissa.
     u = [u0 + x * (u1 - u0) for x in interior_x]
+    # Slice parts measured from the chord, above it and below it.
+    up = [as_poly(lp) - uj for lp, uj in zip(l_plus, u)]
+    down = [as_poly(lm) + uj for lm, uj in zip(l_minus, u)]
     total = Fraction(0)
     for mask in range(1 << N):
         above = [j for j in range(N) if mask >> j & 1]
         below = [j for j in range(N) if not mask >> j & 1]
-        ka = comb_poly(
-            [interior_x[j] for j in above],
-            [as_poly(l_plus[j]) - u[j] for j in above],
-        )
-        kb = comb_poly(
-            [interior_x[j] for j in below],
-            [as_poly(l_minus[j]) + u[j] for j in below],
-        )
+        ka = comb_poly([interior_x[j] for j in above], [up[j] for j in above])
+        kb = comb_poly([interior_x[j] for j in below], [down[j] for j in below])
         total = total + ka * kb
     return total
 

@@ -19,7 +19,7 @@ from sylvester.certificates import (
     verify_n5_quadratic,
 )
 from sylvester.poly import MultiPoly, grid_identity_check
-from sylvester.segments import profile_to_offsets
+from sylvester.segments import profile_to_offsets, symmetrized_integrand
 
 POINTS = default_x_triples(4)
 
@@ -50,6 +50,52 @@ def test_vanishing_at_extremes():
     assert at_shaken.is_zero()
     d_maj = symbolic_difference(x, "majoration")
     assert d_maj.substitute({f"beta{j}": 0 for j in (1, 2, 3)}).is_zero()
+
+
+def two_family_difference(x, kind):
+    """The difference built from two symmetrized integrands, one per
+    family: (top, top) - (plus, minus) or (plus, minus) - (shaken, base)."""
+    N = len(x)
+    xbar = [Fraction(0), *x, Fraction(1)]
+    l0, l1 = v("l0"), v("l1")
+    lam = [v(f"lam{j}") for j in range(1, N + 1)]
+    beta = [v(f"beta{j}") for j in range(1, N + 1)]
+    L = [l0 + (l1 - l0) * xj for xj in x]
+    top = [L[j] + lam[j] for j in range(N)]
+    plus = [top[j] + beta[j] for j in range(N)]
+    minus = [top[j] - beta[j] for j in range(N)]
+    general = symmetrized_integrand(xbar, plus, minus)
+    if kind == "majoration":
+        return symmetrized_integrand(xbar, top, top) - general
+    shaken = [L[j] + 2 * lam[j] for j in range(N)]
+    return general - symmetrized_integrand(xbar, shaken, L)
+
+
+@pytest.mark.parametrize("x", [
+    (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(1, 5), Fraction(4, 7)),
+    (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)),
+    POINTS[1],
+])
+@pytest.mark.parametrize("kind", ["majoration", "minoration"])
+def test_difference_matches_two_family_oracle(x, kind):
+    assert symbolic_difference(x, kind) == two_family_difference(x, kind)
+
+
+@pytest.mark.parametrize("kind", ["majoration", "minoration"])
+def test_one_integrand_per_difference(monkeypatch, kind):
+    calls = []
+    original = certs.symmetrized_integrand
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(certs, "symmetrized_integrand", counted)
+    for x in ((Fraction(1, 3), Fraction(2, 3)), POINTS[0]):
+        calls.clear()
+        symbolic_difference(x, kind)
+        assert len(calls) == 1
 
 
 def test_nonnegativity_spot_checks():

@@ -4,9 +4,11 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import pytest
 from referencing import Registry, Resource
 
 from sylvester import certificates, cli
@@ -131,6 +133,20 @@ def test_comb_malformed_document(capsys):
 def test_cond_malformed_document(capsys):
     assert_document_error(
         capsys, ["cond", "--family", "{}"], "missing field 'xbar'"
+    )
+
+
+def test_cond_short_xbar_names_xbar(capsys):
+    family = json.dumps({
+        "N": 2,
+        "xbar": ["0/1", "1/2", "1/1"],
+        "L0": "0/1", "L1": "0/1",
+        "lambda": ["0/1", "1/2", "1/2", "0/1"],
+        "beta": ["0/1", "0/1", "0/1", "0/1"],
+    })
+    assert_document_error(
+        capsys, ["cond", "--family", family],
+        "length mismatch: xbar has 3 entries, lambda 4, beta 4",
     )
 
 
@@ -321,6 +337,27 @@ def test_structure_error_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(certificates, "symmetrized_integrand", injected)
     code = cli.main(["verify", "--case", "n4"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CERTIFICATE
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "certificate structure error: odd beta-degree term survived"
+    ]
+
+
+def test_structure_error_on_minoration_path_exits_3(capsys, monkeypatch):
+    # n5 starts with the cone checks, which recompute minoration differences
+    original = certificates.symmetrized_integrand
+
+    def injected(xbar, l_plus, l_minus):
+        # an odd beta-degree term in the general family
+        return original(xbar, l_plus, l_minus) + MultiPoly.variable("beta1")
+
+    monkeypatch.setattr(certificates, "symmetrized_integrand", injected)
+    x = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+    with pytest.raises(certificates.StructureError, match="odd beta-degree"):
+        certificates.symbolic_difference(x, "minoration")
+    code = cli.main(["verify", "--case", "n5"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_CERTIFICATE
     assert captured.out == ""
