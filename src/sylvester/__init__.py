@@ -28,6 +28,7 @@ from .certificates import (
     symbolic_difference,
     verify_all,
     verify_n4,
+    verify_n5,
     verify_n5_cone,
     verify_n5_quadratic,
 )

@@ -3,9 +3,9 @@ behind the n = 4 and n = 5 convex-position inequalities.
 
 The two optimization differences (symmetrized-versus-general and
 general-versus-shaken) are recomputed from the comb calculus at exact
-rational abscissa points, both from one integrand of the general family by
-beta := 0 (the symmetral) and beta := lam (the shaken family), and matched
-against their published closed forms:
+rational abscissa points, both from one integrand of the general family per
+point by beta := 0 (the symmetral) and beta := lam (the shaken family), and
+matched against their published closed forms:
 the two n = 4 displays, the n = 5 cone decomposition (18 + 6 coefficients
 with the Lin-interpolated helper polynomials P0..P8), and the n = 5
 quadratic forms with their leading-principal-minor factorizations.  The
@@ -118,26 +118,24 @@ class CertificateReport:
 # -- the optimization differences -----------------------------------------
 
 
-def symbolic_difference(x, kind):
-    """Difference of symmetrized integrands between two defect choices.
+def symbolic_difference(x):
+    """The pair (majoration, minoration) of differences of symmetrized
+    integrands at one abscissa point: symmetric family minus general family,
+    and general family minus shaken family.
 
-    ``kind`` is "majoration" (symmetric family minus general family) or
-    "minoration" (general family minus shaken family).  ``x`` holds the
-    N = 2 or 3 interior abscissas (`comb_poly` rejects unsorted ones or ones
-    outside (0, 1)); the result is a polynomial in l0, l1 and the per-slice
-    lam_j / beta_j symbols.
+    ``x`` holds the N = 2 or 3 interior abscissas (`comb_poly` rejects
+    unsorted ones or ones outside (0, 1)); each difference is a polynomial in
+    l0, l1 and the per-slice lam_j / beta_j symbols.
 
-    Both differences come from one integrand of the general family, with
-    slice parts L + lam +- beta: beta := 0 gives the symmetral (both parts
-    L + lam) and beta := lam the shaken family (parts L + 2 lam and L).
-    Substitution is a ring homomorphism, so this is exact.
+    Both come from one integrand of the general family, with slice parts
+    L + lam +- beta: beta := 0 gives the symmetral (both parts L + lam) and
+    beta := lam the shaken family (parts L + 2 lam and L).  Substitution is
+    a ring homomorphism, so this is exact.
     """
     x = [to_fraction(v) for v in x]
     N = len(x)
     if N not in (2, 3):
         raise ValueError("N must be 2 or 3")
-    if kind not in ("majoration", "minoration"):
-        raise ValueError("kind must be 'majoration' or 'minoration'")
     xbar = [Fraction(0)] + x + [Fraction(1)]
     l0, l1 = _var("l0"), _var("l1")
     lam = [_var(f"lam{j}") for j in range(1, N + 1)]
@@ -148,12 +146,11 @@ def symbolic_difference(x, kind):
         xbar, [t + b for t, b in zip(top, beta)],
         [t - b for t, b in zip(top, beta)],
     )
-    if kind == "majoration":
-        diff = general.substitute(dict.fromkeys(names, 0)) - general
-    else:
-        diff = general - general.substitute(dict(zip(names, lam)))
-    _check_structure(diff, N, kind)
-    return diff
+    pair = (general.substitute(dict.fromkeys(names, 0)) - general,
+            general - general.substitute(dict(zip(names, lam))))
+    for diff, kind in zip(pair, ("majoration", "minoration")):
+        _check_structure(diff, N, kind)
+    return pair
 
 
 def _check_structure(diff, N, kind):
@@ -575,8 +572,7 @@ def verify_n4(points=None) -> CertificateReport:
     def checks_at(x):
         x1, x2 = x
         w1, w2 = 4 * (1 - x2) / (1 - x1), 4 * x1 / x2
-        maj = symbolic_difference(x, "majoration")
-        mino = symbolic_difference(x, "minoration")
+        maj, mino = symbolic_difference(x)
         return {
             "n4 symmetrization difference": grid_identity_check(
                 maj, w2 * b2 * b2 + w1 * b1 * b1, _N4_BOUNDS
@@ -590,19 +586,29 @@ def verify_n4(points=None) -> CertificateReport:
     return CertificateReport(_identity_checks(points, checks_at))
 
 
-def verify_n5_cone(points=None) -> CertificateReport:
-    """Certify the n = 5 shaking-difference cone decomposition: the
-    l0/l1/constant split, the 18 + 6 published coefficients, the mirror
-    relation for the l0 part, and positivity of every coefficient."""
+def verify_n5(points=None) -> CertificateReport:
+    """Certify the n = 5 cone decomposition and quadratic forms over the
+    abscissa triples ``points``, from one general integrand per triple."""
     if points is None:
         points = default_x_triples()
+    differences = {tuple(x): symbolic_difference(x) for x in points}
+    return verify_n5_cone(differences).merge(verify_n5_quadratic(differences))
+
+
+def verify_n5_cone(differences) -> CertificateReport:
+    """Certify the n = 5 shaking-difference cone decomposition: the
+    l0/l1/constant split, the 18 + 6 published coefficients, the mirror
+    relation for the l0 part, and positivity of every coefficient.
+
+    ``differences`` maps each abscissa triple to its symbolic_difference
+    pair; the cone checks read the minoration, its second member."""
     p = [_var(f"p{j}") for j in range(1, 4)]
     q = [_var(f"q{j}") for j in range(1, 4)]
 
     def checks_at(x):
         # The parts of the difference are four times the published ones,
         # and so is _cone_poly.
-        diff = to_slope_variables(symbolic_difference(x, "minoration"), x)
+        diff = to_slope_variables(differences[x][1], x)
         d0, d1, d2 = _split_l0_l1(diff)
         table2 = cone_coefficients_d2(x)
         xm = mirror_x(x)
@@ -616,7 +622,7 @@ def verify_n5_cone(points=None) -> CertificateReport:
                 d0 == mirror_poly(_cone_poly(mirrored, p, q)),
         }
 
-    report = CertificateReport(_identity_checks(points, checks_at))
+    report = CertificateReport(_identity_checks(differences, checks_at))
     report.positivity_checks.extend(
         _lin_positivity(HELPERS, "", "on the simplex")
     )
@@ -659,18 +665,19 @@ def _prefactor_positivity_checks():
     return [_positivity(f"prefactor atom {n}", e) for n, e in atoms.items()]
 
 
-def verify_n5_quadratic(points=None) -> CertificateReport:
+def verify_n5_quadratic(differences) -> CertificateReport:
     """Certify the n = 5 symmetrization-difference quadratic forms: the
     l0/l1/constant split against the published f1/f3 displays, the mirror
     rule for f2, the matrix forms, and every stated leading-principal-minor
-    factorization with its positivity."""
-    if points is None:
-        points = default_x_triples()
+    factorization with its positivity.
+
+    ``differences`` maps each abscissa triple to its symbolic_difference
+    pair; the quadratic checks read the majoration, its first member."""
     q = [_var(f"q{j}") for j in range(1, 4)]
     p = [_var(f"p{j}") for j in range(1, 4)]
 
     def checks_at(x):
-        f1, f2, f3 = _split_l0_l1(symbolic_difference(x, "majoration"))
+        f1, f2, f3 = _split_l0_l1(differences[x][0])
         f1_q = to_slope_variables(f1, x)
         f3_q = to_slope_variables(f3, x)
         table2 = cone_coefficients_d2(x)
@@ -690,7 +697,7 @@ def verify_n5_quadratic(points=None) -> CertificateReport:
             checks[f"minor factorization: {name}"] = ok
         return checks
 
-    report = CertificateReport(_identity_checks(points, checks_at))
+    report = CertificateReport(_identity_checks(differences, checks_at))
     report.positivity_checks.extend(
         _lin_positivity(_MINOR_G, "minor ", "factor on the simplex")
     )
@@ -782,7 +789,7 @@ def _check_minor_factorizations(x, ms):
 
 
 def verify_all() -> CertificateReport:
-    return verify_n4().merge(verify_n5_cone()).merge(verify_n5_quadratic())
+    return verify_n4().merge(verify_n5())
 
 
 # -- falsification search (informational) ----------------------------------
@@ -796,7 +803,7 @@ def compa_violation_witness(tries=4000):
     needed, not an artifact.  Returns (lam, beta, value) or None.
     """
     x = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
-    diff = symbolic_difference(x, "minoration")
+    diff = symbolic_difference(x)[1]
     rng = random.Random(0)
     for _ in range(tries):
         lam = [Fraction(rng.randrange(0, 50), 50) for _ in range(3)]

@@ -281,9 +281,7 @@ def _cmd_verify(args):
     if args.case == "n4":
         report = certificates.verify_n4()
     elif args.case == "n5":
-        report = certificates.verify_n5_cone().merge(
-            certificates.verify_n5_quadratic()
-        )
+        report = certificates.verify_n5()
     else:
         report = certificates.verify_all()
     doc = report.to_json()

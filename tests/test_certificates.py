@@ -15,6 +15,7 @@ from sylvester.certificates import (
     positivity_check,
     symbolic_difference,
     verify_n4,
+    verify_n5,
     verify_n5_cone,
     verify_n5_quadratic,
 )
@@ -22,6 +23,8 @@ from sylvester.poly import MultiPoly, grid_identity_check
 from sylvester.segments import profile_to_offsets, symmetrized_integrand
 
 POINTS = default_x_triples(4)
+#: The order of the pair symbolic_difference returns.
+KINDS = ("majoration", "minoration")
 
 
 def v(name):
@@ -29,13 +32,13 @@ def v(name):
 
 
 def test_symbolic_difference_reference():
-    d = symbolic_difference((Fraction(1, 3), Fraction(2, 3)), "majoration")
+    d = symbolic_difference((Fraction(1, 3), Fraction(2, 3)))[0]
     b1, b2 = v("beta1"), v("beta2")
     assert d == 2 * (b1 * b1 + b2 * b2)
 
 
 def test_symbolic_difference_structure():
-    d = symbolic_difference(POINTS[0], "majoration")
+    d = symbolic_difference(POINTS[0])[0]
     assert d.degree("l0") == 1 and d.degree("l1") == 1
     assert not d.used_variables() & {"u0", "u1"}
     assert d.total_degree() <= 5
@@ -43,12 +46,11 @@ def test_symbolic_difference_structure():
 
 def test_vanishing_at_extremes():
     x = POINTS[0]
-    d_min = symbolic_difference(x, "minoration")
+    d_maj, d_min = symbolic_difference(x)
     at_shaken = d_min.substitute(
         {f"beta{j}": v(f"lam{j}") for j in (1, 2, 3)}
     )
     assert at_shaken.is_zero()
-    d_maj = symbolic_difference(x, "majoration")
     assert d_maj.substitute({f"beta{j}": 0 for j in (1, 2, 3)}).is_zero()
 
 
@@ -77,13 +79,14 @@ def two_family_difference(x, kind):
     (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)),
     POINTS[1],
 ])
-@pytest.mark.parametrize("kind", ["majoration", "minoration"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_difference_matches_two_family_oracle(x, kind):
-    assert symbolic_difference(x, kind) == two_family_difference(x, kind)
+    difference = symbolic_difference(x)[KINDS.index(kind)]
+    assert difference == two_family_difference(x, kind)
 
 
-@pytest.mark.parametrize("kind", ["majoration", "minoration"])
-def test_one_integrand_per_difference(monkeypatch, kind):
+def count_integrands(monkeypatch):
+    """Record every symmetrized_integrand call that certificates makes."""
     calls = []
     original = certs.symmetrized_integrand
 
@@ -92,20 +95,31 @@ def test_one_integrand_per_difference(monkeypatch, kind):
         return original(*args)
 
     monkeypatch.setattr(certs, "symmetrized_integrand", counted)
+    return calls
+
+
+def test_one_integrand_per_difference(monkeypatch):
+    calls = count_integrands(monkeypatch)
     for x in ((Fraction(1, 3), Fraction(2, 3)), POINTS[0]):
         calls.clear()
-        symbolic_difference(x, kind)
+        symbolic_difference(x)
         assert len(calls) == 1
+
+
+def test_one_integrand_per_x_point(monkeypatch):
+    calls = count_integrands(monkeypatch)
+    verify_n5(points=POINTS)
+    assert len(calls) == len(POINTS)
+    calls.clear()
+    certs.verify_all()
+    assert len(calls) == 51  # 21 x pairs and 30 x triples
 
 
 def test_nonnegativity_spot_checks():
     rnd = random.Random(1)
     for x in POINTS:
         xbar = [Fraction(0), *x, Fraction(1)]
-        diffs = [
-            symbolic_difference(x, kind)
-            for kind in ("minoration", "majoration")
-        ]
+        diffs = symbolic_difference(x)
         for _ in range(25):
             p = [Fraction(rnd.randrange(0, 9), 8) for _ in range(3)]
             q = [Fraction(rnd.randrange(-8, 9), 8) * pj for pj in p]
@@ -121,11 +135,9 @@ def test_nonnegativity_spot_checks():
 
 def test_invalid_x_rejected():
     with pytest.raises(ValueError):
-        symbolic_difference((Fraction(2, 3), Fraction(1, 3)), "majoration")
+        symbolic_difference((Fraction(2, 3), Fraction(1, 3)))
     with pytest.raises(ValueError):
-        symbolic_difference((Fraction(1, 2),), "minoration")
-    with pytest.raises(ValueError):
-        symbolic_difference((Fraction(1, 3), Fraction(2, 3)), "other")
+        symbolic_difference((Fraction(1, 2),))
 
 
 def test_linear_reconstruct():
@@ -154,7 +166,7 @@ def test_verify_n4_passes():
 def test_verify_n4_mutated_rhs_fails():
     # coefficient 4 -> 5 breaks the identity on every grid point
     x1, x2 = Fraction(1, 3), Fraction(2, 3)
-    d = symbolic_difference((x1, x2), "majoration")
+    d = symbolic_difference((x1, x2))[0]
     b1, b2 = v("beta1"), v("beta2")
     wrong = 5 * b2 * b2 * Fraction(x1, 1) / x2 + 4 * b1 * b1 * Fraction(
         1 - x2, 1
@@ -164,7 +176,7 @@ def test_verify_n4_mutated_rhs_fails():
 
 
 def test_verify_n5_cone_passes():
-    report = verify_n5_cone(points=POINTS)
+    report = verify_n5_cone({x: symbolic_difference(x) for x in POINTS})
     assert report.summary
 
 
@@ -176,14 +188,15 @@ def test_verify_n5_cone_perturbed_coefficient(monkeypatch):
         table[(1, 1, 1)] = table[(1, 1, 1)] + 1
         return table
 
+    differences = {x: symbolic_difference(x) for x in POINTS[:2]}
     monkeypatch.setattr(certs, "cone_coefficients_d2", perturbed)
-    report = certs.verify_n5_cone(points=POINTS[:2])
+    report = certs.verify_n5_cone(differences)
     failed = [c for c in report.identity_checks if not c.passed]
     assert failed
     assert "(1, 1, 1)" in failed[0].detail
 
     def failed_checks():
-        report = certs.verify_n5_cone(points=POINTS[:2])
+        report = certs.verify_n5_cone(differences)
         return {c.name: c.detail for c in report.identity_checks
                 if not c.passed}
 
@@ -228,13 +241,17 @@ def test_verify_n5_cone_perturbed_coefficient(monkeypatch):
 
 def test_no_points_is_an_error():
     with pytest.raises(ValueError):
-        verify_n5_cone(points=[])
+        verify_n5(points=[])
+    with pytest.raises(ValueError):
+        verify_n5_cone({})
+    with pytest.raises(ValueError):
+        verify_n5_quadratic({})
     with pytest.raises(ValueError):
         verify_n4(points=[])
 
 
 def test_verify_n5_quadratic_passes():
-    report = verify_n5_quadratic(points=POINTS)
+    report = verify_n5_quadratic({x: symbolic_difference(x) for x in POINTS})
     assert report.summary
     names = [c.name for c in report.identity_checks]
     assert any("f2 mirror" in n for n in names)

@@ -274,6 +274,18 @@ def test_verify_pretty(capsys):
     assert "summary: pass" in out
 
 
+def test_verify_n5_is_golden_without_n4(capsys):
+    # --case n5 prints the n5 checks of --case all in the same order
+    doc = json.loads((DATA_DIR / "verify_all.json").read_text())
+    doc["identity_checks"] = [c for c in doc["identity_checks"]
+                              if not c["name"].startswith("n4 ")]
+    assert len(doc["identity_checks"]) == 17
+    doc["run_config"]["case"] = "n5"
+    code, out = run(capsys, ["verify", "--case", "n5"])
+    assert code == 0
+    assert out == json.dumps(doc, sort_keys=True)
+
+
 def test_verify_golden_matches_schema():
     doc = json.loads((DATA_DIR / "verify_all.json").read_text())
     validate(doc, "verify.json")
@@ -346,7 +358,7 @@ def test_structure_error_exits_3(capsys, monkeypatch):
 
 
 def test_structure_error_on_minoration_path_exits_3(capsys, monkeypatch):
-    # n5 starts with the cone checks, which recompute minoration differences
+    # n5 recomputes both differences of each triple before any check
     original = certificates.symmetrized_integrand
 
     def injected(xbar, l_plus, l_minus):
@@ -356,7 +368,7 @@ def test_structure_error_on_minoration_path_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(certificates, "symmetrized_integrand", injected)
     x = (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
     with pytest.raises(certificates.StructureError, match="odd beta-degree"):
-        certificates.symbolic_difference(x, "minoration")
+        certificates.symbolic_difference(x)
     code = cli.main(["verify", "--case", "n5"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_CERTIFICATE
