@@ -98,12 +98,14 @@ def count_integrands(monkeypatch):
     return calls
 
 
-def test_one_integrand_per_difference(monkeypatch):
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_integrand_per_difference(monkeypatch, kind):
     calls = count_integrands(monkeypatch)
     for x in ((Fraction(1, 3), Fraction(2, 3)), POINTS[0]):
         calls.clear()
-        symbolic_difference(x)
+        difference = symbolic_difference(x)[KINDS.index(kind)]
         assert len(calls) == 1
+        assert difference == two_family_difference(x, kind)
 
 
 def test_one_integrand_per_x_point(monkeypatch):
