@@ -11,6 +11,12 @@ sample count.  The chunks run on a thread pool of at most
 releases the interpreter lock in the draws and the hull test), and their
 hits are summed in worker order, so identical (seed, workers, samples) give
 identical hits on any machine.
+
+The hull test (`convex_position_mask`) adds each sample's points one at a
+time and checks every new four-point subset by the parity of its triple
+orientations (a 2 + 2 Radon partition), dropping failed samples as it goes.
+Uniform draws rarely stay in convex position as points are added, so its
+cost follows the survivors, not the C(n, 4) subsets of every sample.
 """
 
 from __future__ import annotations
@@ -130,40 +136,86 @@ def _hull_vertex_count(pts):
 
 
 #: Samples per block of `convex_position_mask` and per batch of the plain
-#: estimators; bounds their temporaries.  At n = 4 to 8 the block's
-#: (n, block) rows stay within a few hundred kB; on a 2-vCPU x86 host this
-#: ran faster than 2^12, 2^14 or 2^15.
+#: estimators; bounds their temporaries.  Pinned: `_count_hits` draws its
+#: batches of this size from one stream, so another value changes every
+#: seeded plain estimate.
 MASK_BLOCK = 1 << 13
 
 
 def convex_position_mask(samples: np.ndarray) -> np.ndarray:
     """Vectorized test for an (S, n, 2) float array of n-point samples.
 
-    Each sample's points are sorted by angle (`arctan2`) around their
-    centroid; the sample passes iff every cyclically consecutive triple
-    makes a strict left turn.  A zero cross product fails the sample, so
-    collinear and duplicate points count as failure (a measure-zero event
-    for continuous distributions).  Samples are processed in blocks of
-    `MASK_BLOCK`, with x and y as contiguous (n, block) rows.
+    A planar set with no collinear triple is in convex position iff every
+    four of its points are (Carathéodory), and four such points are iff
+    their Radon partition splits 2 + 2, that is iff the orientations of
+    their four triples have even parity.  The points are added one at a
+    time: adding point k computes the orientation of every triple
+    (a, b, k), a < b < k, from the differences to point k, and fails a
+    sample if one of them is zero or undecided (so collinear and duplicate
+    points count as failure, a measure-zero event for continuous
+    distributions), or if some 4-subset a < b < c < k has odd parity.  A
+    sample with a non-finite coordinate fails at once.
+
+    Samples are processed in blocks of `MASK_BLOCK`, with x and y as
+    contiguous (n, block) rows.  A block keeps one boolean row per triple of
+    its points, C(n, 3) rows, and drops failed samples from its working
+    arrays once they are more than half of them; it stops when none is
+    left.  Few samples of a uniform draw stay in convex position as points
+    are added, so the work follows the survivors; a block whose samples
+    are all in convex position costs C(n, 4) parity rows.
     """
     S, n, _ = samples.shape
     if n < 3:
         raise ValueError("need at least three points")
-    mask = np.empty(S, dtype=bool)
+    # Pairs a < b in colex order: pair (a, b) is row b(b - 1)/2 + a, so the
+    # pairs below c are the first c(c - 1)/2 rows.
+    high, low = np.tril_indices(n - 1, -1)
+    mask = np.zeros(S, dtype=bool)
     for start in range(0, S, MASK_BLOCK):
         block = samples[start:start + MASK_BLOCK]
         x = np.ascontiguousarray(block[:, :, 0].T)
         y = np.ascontiguousarray(block[:, :, 1].T)
-        order = np.argsort(
-            np.arctan2(y - y.mean(axis=0), x - x.mean(axis=0)), axis=0
-        )
-        x = np.take_along_axis(x, order, axis=0)
-        y = np.take_along_axis(y, order, axis=0)
-        ex = np.roll(x, -1, axis=0) - x
-        ey = np.roll(y, -1, axis=0) - y
-        # Turn at vertex k + 1: cross product of edges k and k + 1.
-        cross = ex * np.roll(ey, -1, axis=0) - ey * np.roll(ex, -1, axis=0)
-        mask[start:start + MASK_BLOCK] = (cross > 0).all(axis=0)
+        alive = np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0)
+        index = np.arange(len(block))  # block row of each working sample
+        # left[C(c, 3) + pair row of (a, b)]: a, b, c turn left.  The
+        # triples below k are the first C(k, 3) rows.
+        left = np.empty((math.comb(n, 3), len(block)), dtype=bool)
+        for k in range(2, n):
+            below = math.comb(k, 3)
+            live = np.count_nonzero(alive)
+            if live == 0:
+                break
+            if 2 * live < len(alive):
+                keep = np.flatnonzero(alive)
+                x = x.take(keep, axis=1)
+                y = y.take(keep, axis=1)
+                index = index[keep]
+                packed = np.empty((len(left), live), dtype=bool)
+                left[:below].take(keep, axis=1, out=packed[:below])
+                left = packed
+                alive = np.ones(live, dtype=bool)
+            new = left[below:math.comb(k + 1, 3)]  # a, b, k
+            decided = np.empty_like(new)
+            dx = x[:k] - x[k]
+            dy = y[:k] - y[k]
+            for b in range(1, k):
+                rows = slice(b * (b - 1) // 2, b * (b + 1) // 2)
+                t = dx[:b] * dy[b]
+                u = dy[:b] * dx[b]
+                # Two comparisons, not t != u: NaN must stay undecided.
+                np.greater(t, u, out=new[rows])
+                np.less(t, u, out=decided[rows])
+            decided |= new
+            alive &= decided.all(axis=0)
+            for c in range(2, k):
+                pairs = c * (c - 1) // 2
+                col = new[pairs:pairs + c]  # a, c, k for a < c
+                # Odd parity of a, b, c, k: a 3 + 1 Radon partition.
+                odd = left[math.comb(c, 3):math.comb(c + 1, 3)] ^ new[:pairs]
+                odd ^= col[low[:pairs]]
+                odd ^= col[high[:pairs]]
+                alive &= ~odd.any(axis=0)
+        mask[start:start + len(block)][index] = alive
     return mask
 
 

@@ -57,6 +57,15 @@ def draw(body, n, samples, seed):
     return sample_points(body, samples * n, rng).reshape(samples, n, 2)
 
 
+def circle_points(n, samples, seed):
+    """n evenly spaced points on a circle per sample, at a random rotation
+    and in a random order: every sample is in convex position."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    angles = rng.random((samples, 1)) + np.arange(n) * (2 * np.pi / n)
+    angles = rng.permuted(angles, axis=1)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=2)
+
+
 def test_is_convex_position_basics():
     assert is_convex_position([(0, 0), (1, 0), (0, 1)])
     assert not is_convex_position(
@@ -80,11 +89,17 @@ def test_is_convex_position_float_path():
 
 def test_mask_agrees_with_predicate():
     rng = np.random.Generator(np.random.PCG64(11))
-    pts = rng.random((200, 4, 2))
-    mask = convex_position_mask(pts)
-    for row, flag in zip(pts, mask):
-        exact = [(Fraction(float(x)), Fraction(float(y))) for x, y in row]
-        assert is_convex_position(exact) == bool(flag)
+    # At n = 24: uniform draws, points on a circle, and points on a circle
+    # with one moved inward to where it is a hull vertex or not.
+    circle = circle_points(24, 200, seed=24)
+    circle[100:, 0] *= np.linspace(0.98, 1.0, 100)[:, None]
+    for pts in (rng.random((200, 4, 2)),
+                np.concatenate([draw(DISK, 24, 100, seed=24), circle])):
+        mask = convex_position_mask(pts)
+        assert 0 < mask.sum() < len(mask)
+        for row, flag in zip(pts, mask):
+            exact = [(Fraction(float(x)), Fraction(float(y))) for x, y in row]
+            assert is_convex_position(exact) == bool(flag)
 
 
 def test_float_path_degenerate_triples_match_exact():
@@ -104,7 +119,7 @@ def test_float_path_degenerate_triples_match_exact():
 
 def test_mask_matches_triangle_test():
     for body in (TRI, SQUARE, DISK):
-        for n in range(3, 9):
+        for n in range(3, 13):
             pts = draw(body, n, 3001, seed=n)
             mask = convex_position_mask(pts)
             assert mask.dtype == bool and mask.shape == (3001,)
@@ -112,6 +127,35 @@ def test_mask_matches_triangle_test():
     # several blocks, the last one partial
     pts = draw(DISK, 5, 2 * MASK_BLOCK + 77, seed=1)
     assert np.array_equal(convex_position_mask(pts), triangle_test_mask(pts))
+    # a block in which no sample fails
+    for n in (5, 8, 12):
+        assert convex_position_mask(circle_points(n, MASK_BLOCK, n)).all()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_fail(value):
+    # Every comparison with NaN is false, so an orientation test that only
+    # asks t != u would let this sample through.
+    for point, coord in ((3, 0), (3, 1), (0, 0), (1, 1)):
+        sample = np.array([(0, 0), (1, 1), (1, 0), (0.5, 1)])
+        sample[point, coord] = value
+        for order in (sample, sample[::-1]):
+            assert not convex_position_mask(order[None])[0]
+            assert not is_convex_position([tuple(p) for p in order])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinate_anywhere_fails(value):
+    # An infinite coordinate need not make an orientation undecided: the
+    # point can act as a direction and pass every turn test.
+    for n in range(3, 7):
+        pts = circle_points(n, 50, seed=n)
+        for point in range(n):
+            for coord in ((0,), (1,), (0, 1)):
+                sample = pts.copy()
+                sample[:, point, coord] = value
+                assert not convex_position_mask(sample).any()
+                assert not convex_position_mask(sample[:, ::-1]).any()
 
 
 def test_mask_of_no_samples():
@@ -121,7 +165,7 @@ def test_mask_of_no_samples():
         convex_position_mask(np.empty((4, 2, 2)))
 
 
-small_point_sets = st.integers(3, 6).flatmap(
+small_point_sets = st.integers(3, 8).flatmap(
     lambda n: st.lists(
         st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
         min_size=n, max_size=n,
