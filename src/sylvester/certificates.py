@@ -330,11 +330,9 @@ def _cone_poly(table, p, q):
 
 
 def _cone_outcome(target, table, p, q):
-    """True if ``target`` is _cone_poly(table), else the function giving
-    the mismatch detail."""
-    return target == _cone_poly(table, p, q) or (
-        lambda: _attribute_mismatch(target, table, p, q)
-    )
+    """True if ``target`` is _cone_poly(table), else the mismatch detail."""
+    return (target == _cone_poly(table, p, q)
+            or _attribute_mismatch(target, table, p, q))
 
 
 def _attribute_mismatch(target, table, p, q):
@@ -543,8 +541,8 @@ _N4_BOUNDS = {
 def _identity_checks(points, checks_at):
     """One IdentityCheck per name of ``checks_at(x)``, the ordered
     {check name: outcome} at one x point.  An outcome is True where the
-    check holds; a failing one is False or a function giving the detail,
-    which is called at the first failing point only.  No point would make
+    check holds; a failing one is False or its detail string, and a check
+    reports the detail of its first failing point.  No point would make
     every check pass vacuously, so it is an error."""
     if not points:
         raise ValueError("identity checks need at least one x point")
@@ -552,8 +550,8 @@ def _identity_checks(points, checks_at):
     for x in points:
         for name, outcome in checks_at(x).items():
             names[name] = None
-            if outcome is not True and name not in details:
-                details[name] = outcome() if callable(outcome) else None
+            if outcome is not True:
+                details.setdefault(name, outcome or None)
     return [
         IdentityCheck(name, len(points), name not in details,
                       details.get(name))

@@ -5,7 +5,8 @@ abscissas in (0, 1), together with the two endpoint points (0, 0) and (1, 0).
 The tooth-length polynomial K (the probability multiplied by the product of
 tooth lengths) has three equivalent computations:
 
-* a pivot recurrence (`comb_poly`),
+* a pivot recurrence over the sub-combs between two abscissas, each
+  computed once, so its cost is polynomial in m (`comb_poly`),
 * a sum over non-crossing triangulations (`comb_poly_triangulations`),
 * a sum over insertion permutations (`comb_poly_permutations`).
 
@@ -75,9 +76,7 @@ def _full_range(x, gamma):
     x = [to_fraction(v) for v in x]
     if len(x) < 2 or x[0] != 0 or x[-1] != 1:
         raise ValueError("expected abscissas starting at 0 and ending at 1")
-    for a, b in zip(x, x[1:]):
-        if a >= b:
-            raise ValueError("abscissas must be strictly increasing")
+    _check_interior_abscissas(x[1:-1])
     if len(gamma) != len(x):
         raise ValueError("abscissa / value count mismatch")
     return x, [v if isinstance(v, MultiPoly) else to_fraction(v) for v in gamma]
@@ -87,35 +86,37 @@ def comb_poly(x, lengths):
     """Tooth-length polynomial K via the pivot recurrence.
 
     ``x`` holds the m interior abscissas only; ``lengths`` entries may be
-    rationals or MultiPoly values sharing one variable set.
+    rationals or MultiPoly values sharing one variable set.  Over X = (0, x,
+    1), sub-comb (a, b) has the teeth between X[a] and X[b], at heights h
+    over the chord of their tops.  Its K averages h_j K(a, j) K(j, b) over
+    the pivots j, where tooth i between the kept end c and j stands at
+    h_i - (X_i - X_c)/(X_j - X_c) h_j.  That depends on (a, b) alone, so
+    each sub-comb is computed once, and a call costs O(m^3) products.
     """
     x = [to_fraction(v) for v in x]
     _check_interior_abscissas(x)
     if len(x) != len(lengths):
         raise ValueError("abscissa / length count mismatch")
-    lengths = [
-        v if isinstance(v, MultiPoly) else to_fraction(v) for v in lengths
-    ]
-    return _rec(x, lengths)
+    X = [Fraction(0), *x, Fraction(1)]
+    known = {}
 
+    def sub(a, b, h):
+        if b - a < 3:
+            return h[a + 1] if b - a == 2 else Fraction(1)
+        return sum(h[j] * part(a, j, h) * part(b, j, h)
+                   for j in range(a + 1, b)) / (b - a - 1)
 
-def _rec(x, lengths):
-    m = len(x)
-    if m == 0:
-        return Fraction(1)
-    if m == 1:
-        return lengths[0]
-    total = Fraction(0)
-    for j in range(m):
-        xj, lj = x[j], lengths[j]
-        left_x = [x[k] / xj for k in range(j)]
-        left_l = [lengths[k] - (x[k] / xj) * lj for k in range(j)]
-        right_x = [(x[k] - xj) / (1 - xj) for k in range(j + 1, m)]
-        right_l = [
-            lengths[k] - ((1 - x[k]) / (1 - xj)) * lj for k in range(j + 1, m)
-        ]
-        total = total + lj * _rec(left_x, left_l) * _rec(right_x, right_l)
-    return total / m
+    def part(c, j, h):
+        a, b = sorted((c, j))
+        if (a, b) not in known:
+            known[a, b] = sub(a, b, {
+                i: h[i] - (X[i] - X[c]) / (X[j] - X[c]) * h[j]
+                for i in range(a + 1, b)})
+        return known[a, b]
+
+    return sub(0, len(X) - 1, {
+        i: v if isinstance(v, MultiPoly) else to_fraction(v)
+        for i, v in enumerate(lengths, 1)})
 
 
 def enumerate_triangulations(m):
@@ -204,8 +205,4 @@ def comb_probability(comb: Comb) -> Fraction:
         return Fraction(1)
     if any(l == 0 for l in comb.lengths):
         raise ValueError("zero tooth length with m >= 2")
-    value = comb_poly(comb.x, comb.lengths)
-    denom = Fraction(1)
-    for l in comb.lengths:
-        denom *= l
-    return value / denom
+    return comb_poly(comb.x, comb.lengths) / math.prod(comb.lengths)

@@ -25,6 +25,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -93,22 +94,19 @@ def _wilson_interval(p, samples):
 def is_convex_position(points) -> bool:
     """True iff every point is an extreme point of the hull of the set.
 
-    Exact (orientation predicate on rationals) when all coordinates are
-    ints or Fractions; float arithmetic otherwise.  Collinear triples on
-    the hull boundary and duplicate points count as not in convex position.
+    Exact for every finite input: a float converts to a Fraction without
+    rounding, and the orientation predicate runs on rationals.  Collinear
+    triples on the hull boundary, duplicate points and a NaN or infinite
+    coordinate count as not in convex position.
     """
-    points = list(points)
+    points = [tuple(c if isinstance(c, Rational) else float(c) for c in p)
+              for p in points]
     if len(points) < 3:
         raise ValueError("need at least three points")
-    exact = all(
-        isinstance(c, (int, Fraction)) for p in points for c in p
-    )
-    if not exact:
-        arr = np.asarray([[float(x), float(y)] for x, y in points])
-        return bool(convex_position_mask(arr[None, :, :])[0])
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    if len(set(pts)) != len(pts):
+    if not all(isinstance(c, Rational) or math.isfinite(c)
+               for p in points for c in p):
         return False
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
     return _hull_vertex_count(pts) == len(pts)
 
 

@@ -56,7 +56,7 @@ def test_triangulations_partition_correctly():
 def test_three_routes_agree_randomized():
     rnd = random.Random(7)
     for _ in range(40):
-        m = rnd.randrange(0, 5)
+        m = rnd.randrange(0, 7)
         xs = sorted(rnd.sample(range(1, 24), m))
         x = [Fraction(v, 24) for v in xs]
         lengths = [Fraction(rnd.randrange(0, 9), 8) for _ in range(m)]
@@ -71,6 +71,7 @@ def test_three_routes_agree_symbolic():
         (1, (Fraction(1, 2),)),
         (2, (Fraction(1, 4), Fraction(2, 3))),
         (3, (Fraction(1, 5), Fraction(2, 5), Fraction(4, 5))),
+        (4, (Fraction(1, 7), Fraction(2, 7), Fraction(1, 2), Fraction(5, 6))),
     ]:
         names = [f"l{j}" for j in range(1, m + 1)]
         lengths = [MultiPoly.variable(n) for n in names]
@@ -80,6 +81,38 @@ def test_three_routes_agree_symbolic():
         bounds = {n: m for n in names}
         assert grid_identity_check(k_rec, k_tri, bounds)
         assert grid_identity_check(k_rec, k_perm, bounds)
+
+
+def test_each_sub_comb_once(monkeypatch):
+    # Recomputing each sub-comb along every path that reaches it costs
+    # 7645 products here; computing each once costs 364.
+    products = 0
+    original = MultiPoly.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return original(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    x = [Fraction(k, 9) for k in range(1, 9)]
+    comb_poly(x, [MultiPoly.variable(f"l{j}") for j in range(1, 9)])
+    assert 0 < products < 1000
+
+
+def test_mirror_and_homogeneity_at_m12():
+    # m = 12 is beyond what the other two routes reach in a test; check two
+    # exact symmetries of K, a polynomial that is nonzero here.
+    rnd = random.Random(12)
+    x = sorted(Fraction(v, 97) for v in rnd.sample(range(1, 97), 12))
+    lengths = [Fraction(rnd.randrange(1, 30), rnd.randrange(1, 30))
+               for _ in range(12)]
+    k = comb_poly(x, lengths)
+    assert k != 0
+    assert comb_poly([1 - v for v in reversed(x)], lengths[::-1]) == k
+    c = Fraction(5, 3)
+    assert comb_poly(x, [c * v for v in lengths]) == c ** 12 * k
 
 
 def test_permutation_cap():
@@ -108,7 +141,7 @@ def test_json_round_trip():
 
 
 #: Distinct interior abscissas in (0, 1), sorted, with their tooth lengths.
-interior_combs = st.integers(0, 4).flatmap(lambda m: st.tuples(
+interior_combs = st.integers(0, 6).flatmap(lambda m: st.tuples(
     st.lists(st.fractions(0, 1, max_denominator=50)
              .filter(lambda v: 0 < v < 1), min_size=m, max_size=m,
              unique=True).map(sorted),

@@ -87,6 +87,17 @@ def test_is_convex_position_float_path():
     assert not is_convex_position([(0.0, 0.0), (1.0, 0.0), (0.2, 0.1), (0.5, 0.9)])
 
 
+def test_is_convex_position_is_exact_on_floats():
+    # The float orientation of this triple rounds to zero; exactly, the
+    # three points turn.
+    assert is_convex_position([
+        (0.1, 0.7),
+        (0.3505063413624405, 1.60974625596824),
+        (0.8385819818390109, 3.382256221735658),
+    ])
+    assert is_convex_position([tuple(p) for p in circle_points(200, 1, 200)[0]])
+
+
 def test_mask_agrees_with_predicate():
     rng = np.random.Generator(np.random.PCG64(11))
     # At n = 24: uniform draws, points on a circle, and points on a circle
