@@ -324,7 +324,14 @@ def contains(body, point) -> bool:
 
 
 def sample_points(body, count, rng) -> np.ndarray:
-    """(count, 2) float array of uniform points in the body."""
+    """(count, 2) float array of uniform points in the body.
+
+    A polygon is drawn by fan triangle and sorted barycentric pair.  A disk
+    or ellipse {t + m.w : |w| <= 1} is drawn by rejection from the bounding
+    square of the unit disk, with no trigonometry: the first ``count``
+    pairs w = (2u - 1, 2v - 1) of the stream with |w| <= 1, in draw order,
+    mapped by m.w + t.
+    """
     if isinstance(body, Polygon):
         # Fan triangles (v0, v0 + a_k, v0 + b_k).  The order statistics
         # lo <= hi of two uniforms give barycentric weights
@@ -352,12 +359,26 @@ def sample_points(body, count, rng) -> np.ndarray:
         out[:, 1] = v0[1] + lo * ay + mid * by
         return out
     m, t = _frame(body)
-    r = np.sqrt(rng.random(count))
-    theta = rng.random(count) * 2 * np.pi
-    wx = r * np.cos(theta)
-    wy = r * np.sin(theta)
-    # Elementwise, temporaries reused in place; bit-identical for a unit disk.
     out = np.empty((count, 2))
+    kept = 0
+    while kept < count:
+        # A pair is kept with probability pi/4.  The first round draws its
+        # ``count`` candidates into ``out`` itself; later rounds draw 4/3 of
+        # the points still needed, plus a margin, into a small buffer.
+        need = count - kept
+        w = np.empty((min(count, need * 4 // 3 + 16), 2)) if kept else out
+        rng.random(out=w)
+        w *= 2
+        w -= 1
+        x, y = w[:, 0], w[:, 1]
+        inside = np.flatnonzero(x * x + y * y <= 1)[:need]
+        out[kept:kept + len(inside), 0] = x.take(inside)
+        out[kept:kept + len(inside), 1] = y.take(inside)
+        kept += len(inside)
+    wx = out[:, 0].copy()
+    wy = out[:, 1]
+    # m.w + t over the kept w, row by row (wx is a copy; wy is read before
+    # column 1 is written); for a unit disk it is bit-identical to w + t.
     for i in range(2):
         out[:, i] = float(m[i][0]) * wx + float(t[i]) + float(m[i][1]) * wy
     return out

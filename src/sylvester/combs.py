@@ -200,9 +200,24 @@ def comb_poly_permutations(x, gamma):
 
 def comb_probability(comb: Comb) -> Fraction:
     """Probability that one uniform point per tooth plus the two endpoints
-    are in convex position."""
+    are in convex position.
+
+    K/prod(l) is that probability only while each chord between sampled
+    points stays inside the teeth it spans, that is, while (0, 0), the
+    tops (x_i, l_i) and (1, 0) form a concave chain: every top on or above
+    the chord of its neighbours' tops.  Other combs raise ValueError.
+    """
     if comb.m <= 1:
         return Fraction(1)
     if any(l == 0 for l in comb.lengths):
         raise ValueError("zero tooth length with m >= 2")
+    X = [Fraction(0), *comb.x, Fraction(1)]
+    L = [Fraction(0), *comb.lengths, Fraction(0)]
+    for i in range(1, comb.m + 1):
+        if triangle_weight((i - 1, i, i + 1), X, L) < 0:
+            raise ValueError(
+                f"tooth {i} (x = {format_rational(X[i])}, l = "
+                f"{format_rational(L[i])}) is below the chord of its "
+                "neighbours' tops; the comb probability needs the tops in "
+                "convex position")
     return comb_poly(comb.x, comb.lengths) / math.prod(comb.lengths)

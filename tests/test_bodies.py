@@ -31,6 +31,7 @@ SQUARE = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
 #: Irregular convex pentagon; its fan triangles from (0, 0) have areas
 #: 3, 9/2 and 9/4 out of 39/4.
 PENTAGON = Polygon(((0, 0), (3, 0), (4, 2), (Fraction(3, 2), 3), (-1, 1)))
+SHEAR = ((1, 1), (0, 1))
 
 
 def test_polygon_validation():
@@ -156,7 +157,7 @@ def test_contains():
 def test_sampling_stays_inside(rng):
     gen = np.random.Generator(np.random.PCG64(5))
     for body in (TRI, PENTAGON, Disk((0, 0), 1),
-                 affine_image(Disk((0, 0), 1), ((1, 1), (0, 1)))):
+                 affine_image(Disk((0, 0), 1), SHEAR)):
         pts = sample_points(body, 500, gen)
         assert pts.shape == (500, 2)
         for x, y in pts:
@@ -220,11 +221,14 @@ def disk_y_bounds(disk, x):
 
 
 def disk_sample_points(disk, count, rng):
-    """The polar disk draw as a separate disk branch computed it."""
-    r = np.sqrt(rng.random(count)) * float(disk.radius)
-    theta = rng.random(count) * 2 * np.pi
+    """The disk draw by rejection, as a separate disk branch computed it:
+    the first ``count`` pairs (2u - 1, 2v - 1) of one long draw that lie in
+    the unit disk, scaled by r and moved to the centre."""
+    w = 2 * rng.random((3 * count, 2)) - 1
+    w = w[(w ** 2).sum(axis=1) <= 1][:count]
+    assert len(w) == count
     c = np.array([float(v) for v in disk.center])
-    return c + np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    return c + float(disk.radius) * w
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -249,6 +253,49 @@ def test_unit_disk_sampling_is_bit_identical():
         got = sample_points(disk, 1000, np.random.default_rng(seed))
         want = disk_sample_points(disk, 1000, np.random.default_rng(seed))
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("body, matrix", [
+    (Disk((0, 0), 1), ((1, 0), (0, 1))),
+    (affine_image(Disk((0, 0), 1), SHEAR), SHEAR),
+])
+def test_curved_sampling_is_uniform_on_the_unit_disk(body, matrix):
+    # Mapped back to w, a uniform point of the disk or the sheared ellipse
+    # has P(|w| <= t) = t^2 and falls in each of eight equal sectors with
+    # probability 1/8.
+    count = 200_000
+    pts = sample_points(body, count, np.random.Generator(np.random.PCG64(8)))
+    w = pts @ np.linalg.inv(np.array(matrix, dtype=float)).T
+    radius = np.hypot(w[:, 0], w[:, 1])
+    assert radius.max() <= 1 + 1e-12
+    for t in (0.25, 0.5, 0.75, 0.9):
+        sigma = (t * t * (1 - t * t) / count) ** 0.5
+        assert abs((radius <= t).mean() - t * t) < 4 * sigma
+    sector = np.floor((np.arctan2(w[:, 1], w[:, 0]) + np.pi) / (np.pi / 4))
+    shares = np.bincount(np.minimum(sector.astype(int), 7), minlength=8)
+    sigma = (1 / 8 * 7 / 8 / count) ** 0.5
+    assert np.all(np.abs(shares / count - 1 / 8) < 4 * sigma)
+
+
+def test_polygon_streams_are_pinned():
+    # Floats taken before the disk draw changed: the polygon branch keeps
+    # its streams.
+    square = sample_points(SQUARE, 5, np.random.default_rng(17))
+    assert square.tolist() == [
+        [0.8450747927979015, 0.45925075520870307],
+        [0.16097309116910696, 0.42816449909360843],
+        [0.6113431084989805, 0.053598561133288425],
+        [0.36807994166427127, 0.7363858705132865],
+        [0.015289656596711554, 0.21494196356176842],
+    ]
+    pentagon = sample_points(PENTAGON, 5, np.random.default_rng(17))
+    assert pentagon.tolist() == [
+        [2.994475133602408, 0.9185015104174061],
+        [1.04467947656318, 1.1235204061117183],
+        [1.88762788663023, 0.10719712226657685],
+        [0.18381398364739165, 1.4725457538418292],
+        [-0.17671782206998954, 0.24552127675519153],
+    ]
 
 
 rational_matrices = st.tuples(

@@ -55,6 +55,14 @@ def test_comb(capsys):
     validate(doc, "comb.json")
 
 
+def test_comb_rejects_tops_out_of_convex_position(capsys):
+    comb = '{"x":["1/4","1/2","3/4"],"l":["1/1","1/100","1/1"]}'
+    assert cli.main(["comb", "--comb", comb]) == cli.EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tooth 2 (x = 1/2, l = 1/100) ")
+
+
 def test_comb_from_file(tmp_path, capsys):
     path = tmp_path / "comb.json"
     path.write_text(COMB)

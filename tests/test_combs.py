@@ -13,6 +13,8 @@ from sylvester.combs import (
     comb_probability,
     enumerate_triangulations,
 )
+from sylvester.montecarlo import estimate_segments
+from sylvester.segments import VerticalSegment
 
 
 def full_grid(x):
@@ -131,6 +133,30 @@ def test_validation():
         Comb((Fraction(1, 2),), (-1,))
     with pytest.raises(ValueError):
         comb_probability(Comb((Fraction(1, 3), Fraction(2, 3)), (0, 1)))
+
+
+def test_probability_needs_concave_tops():
+    quarters = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    # Tooth 2 far below the chord of its neighbours' tops: K/prod(l) reads
+    # -15641797/360000 there, and seeded draws are almost never convex.
+    with pytest.raises(ValueError, match=r"^tooth 2 \(x = 1/2, l = 1/100\)"):
+        comb_probability(Comb(quarters, (1, Fraction(1, 100), 1)))
+    # A little below it, K/prod(l) is still off by 4.7 standard errors
+    # of 4e6 draws.
+    with pytest.raises(ValueError, match="^tooth 2 "):
+        comb_probability(Comb(quarters, (1, Fraction(9, 10), 1)))
+    with pytest.raises(ValueError, match="^tooth 2 "):
+        comb_probability(Comb((Fraction(1, 3), Fraction(2, 3)),
+                              (1, Fraction(1, 4))))
+    # Tops on the chord are a concave chain, and the value is the
+    # probability.
+    flat = Comb(quarters, (1, 1, 1))
+    value = comb_probability(flat)
+    assert value == Fraction(5, 36)
+    teeth = [VerticalSegment(x, 0, l) for x, l in zip(flat.x, flat.lengths)]
+    est = estimate_segments([VerticalSegment(0, 0, 0), *teeth,
+                             VerticalSegment(1, 0, 0)], 200_000, seed=3)
+    assert abs(est.estimate - float(value)) < 4 * est.std_error
 
 
 def test_json_round_trip():
