@@ -323,6 +323,24 @@ def contains(body, point) -> bool:
 # -- sampling --------------------------------------------------------------
 
 
+def _finite_floats(values, what):
+    """Float array of exact values; ValueError naming ``what`` if one of
+    them has no finite float image."""
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError:
+        out = np.array(np.inf)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} is not finite in floating point")
+    return out
+
+
+def _check_float_area(body, doubled):
+    if not 0 < doubled < np.inf:
+        raise ValueError(f"{type(body).__name__.lower()} area is "
+                         f"{float(doubled) / 2} in floating point")
+
+
 def sample_points(body, count, rng) -> np.ndarray:
     """(count, 2) float array of uniform points in the body.
 
@@ -330,16 +348,21 @@ def sample_points(body, count, rng) -> np.ndarray:
     or ellipse {t + m.w : |w| <= 1} is drawn by rejection from the bounding
     square of the unit disk, with no trigonometry: the first ``count``
     pairs w = (2u - 1, 2v - 1) of the stream with |w| <= 1, in draw order,
-    mapped by m.w + t.
+    mapped by m.w + t.  Raises ValueError if the float image of the body
+    is not a body: an entry is not finite, or its area is not a positive
+    finite float.
     """
     if isinstance(body, Polygon):
         # Fan triangles (v0, v0 + a_k, v0 + b_k).  The order statistics
         # lo <= hi of two uniforms give barycentric weights
         # (1 - hi, lo, hi - lo), uniform on the simplex.
-        verts = np.array([[float(x), float(y)] for x, y in body.vertices])
+        verts = _finite_floats(body.vertices, "polygon vertex")
         v0 = verts[0]
         a = verts[1:-1] - v0
         b = verts[2:] - v0
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = np.cumsum(np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
+        _check_float_area(body, cum[-1])
         u = rng.random(count)
         v = rng.random(count)
         lo = np.minimum(u, v)
@@ -348,7 +371,6 @@ def sample_points(body, count, rng) -> np.ndarray:
         if len(a) == 1:
             (ax, ay), (bx, by) = a[0], b[0]
         else:
-            cum = np.cumsum(np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
             idx = np.searchsorted(cum, rng.random(count) * cum[-1],
                                   side="right")
             # A draw that rounds up to the total area belongs to the last.
@@ -358,7 +380,12 @@ def sample_points(body, count, rng) -> np.ndarray:
         out[:, 0] = v0[0] + lo * ax + mid * bx
         out[:, 1] = v0[1] + lo * ay + mid * by
         return out
-    m, t = _frame(body)
+    names = ("radius", "center") if isinstance(body, Disk) else ("m", "t")
+    m, t = (_finite_floats(v, f"{type(body).__name__.lower()} {name}")
+            for v, name in zip(_frame(body), names))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    _check_float_area(body, 2 * np.pi * abs(det))
     out = np.empty((count, 2))
     kept = 0
     while kept < count:
@@ -380,7 +407,7 @@ def sample_points(body, count, rng) -> np.ndarray:
     # m.w + t over the kept w, row by row (wx is a copy; wy is read before
     # column 1 is written); for a unit disk it is bit-identical to w + t.
     for i in range(2):
-        out[:, i] = float(m[i][0]) * wx + float(t[i]) + float(m[i][1]) * wy
+        out[:, i] = m[i, 0] * wx + t[i] + m[i, 1] * wy
     return out
 
 

@@ -2,15 +2,15 @@
 probabilities, used both as end-user functionality and as brute-force
 oracles for the exact formulas.
 
-PRNG: numpy PCG64 seeded through `numpy.random.SeedSequence(seed)`.  The
-plain estimator splits the samples into `workers` chunks, one per stream of
-`SeedSequence(seed).spawn(workers)`; each stream draws and tests its chunk
-in batches of `MASK_BLOCK` samples, so peak memory does not grow with the
-sample count.  The chunks run on a thread pool of at most
-`os.cpu_count()` threads, or in the calling thread when that is one (numpy
-releases the interpreter lock in the draws and the hull test), and their
-hits are summed in worker order, so identical (seed, workers, samples) give
-identical hits on any machine.
+PRNG: numpy PCG64 seeded through `numpy.random.SeedSequence(seed)`.  All
+three estimators draw through one generator, `_batches`, in batches of
+`MASK_BLOCK` samples, so peak memory does not grow with the sample count.
+The plain estimator splits the samples into `workers` chunks, one per
+stream of `SeedSequence(seed).spawn(workers)`.  The chunks run on a thread
+pool of at most `os.cpu_count()` threads, or in the calling thread when
+that is one (numpy releases the interpreter lock in the draws and the hull
+test), and their hits are summed in worker order, so identical (seed,
+workers, samples) give identical hits on any machine.
 
 The hull test (`convex_position_mask`) adds each sample's points one at a
 time and checks every new four-point subset by the parity of its triple
@@ -155,12 +155,13 @@ def convex_position_mask(samples: np.ndarray) -> np.ndarray:
     sample with a non-finite coordinate fails at once.
 
     Samples are processed in blocks of `MASK_BLOCK`, with x and y as
-    contiguous (n, block) rows.  A block keeps one boolean row per triple of
-    its points, C(n, 3) rows, and drops failed samples from its working
-    arrays once they are more than half of them; it stops when none is
-    left.  Few samples of a uniform draw stay in convex position as points
-    are added, so the work follows the survivors; a block whose samples
-    are all in convex position costs C(n, 4) parity rows.
+    contiguous (n, block) rows.  Adding point k appends one boolean array
+    of C(k, 2) rows, the triples (a, b, k), to a list; a block drops failed
+    samples from its working arrays once they are more than half of them,
+    and stops when none is left.  Few samples of a uniform draw stay in
+    convex position as points are added, so memory and work follow the
+    survivors; a block whose samples are all in convex position holds
+    C(n, 3) rows and costs C(n, 4) parity rows.
     """
     S, n, _ = samples.shape
     if n < 3:
@@ -175,11 +176,9 @@ def convex_position_mask(samples: np.ndarray) -> np.ndarray:
         y = np.ascontiguousarray(block[:, :, 1].T)
         alive = np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0)
         index = np.arange(len(block))  # block row of each working sample
-        # left[C(c, 3) + pair row of (a, b)]: a, b, c turn left.  The
-        # triples below k are the first C(k, 3) rows.
-        left = np.empty((math.comb(n, 3), len(block)), dtype=bool)
+        # left[c - 2][pair row of (a, b)]: a, b, c turn left.
+        left = []
         for k in range(2, n):
-            below = math.comb(k, 3)
             live = np.count_nonzero(alive)
             if live == 0:
                 break
@@ -188,11 +187,9 @@ def convex_position_mask(samples: np.ndarray) -> np.ndarray:
                 x = x.take(keep, axis=1)
                 y = y.take(keep, axis=1)
                 index = index[keep]
-                packed = np.empty((len(left), live), dtype=bool)
-                left[:below].take(keep, axis=1, out=packed[:below])
-                left = packed
+                left = [rows.take(keep, axis=1) for rows in left]
                 alive = np.ones(live, dtype=bool)
-            new = left[below:math.comb(k + 1, 3)]  # a, b, k
+            new = np.empty((k * (k - 1) // 2, len(alive)), dtype=bool)
             decided = np.empty_like(new)
             dx = x[:k] - x[k]
             dy = y[:k] - y[k]
@@ -205,14 +202,15 @@ def convex_position_mask(samples: np.ndarray) -> np.ndarray:
                 np.less(t, u, out=decided[rows])
             decided |= new
             alive &= decided.all(axis=0)
-            for c in range(2, k):
-                pairs = c * (c - 1) // 2
+            for c, old in enumerate(left, 2):
+                pairs = len(old)  # a < b < c
                 col = new[pairs:pairs + c]  # a, c, k for a < c
                 # Odd parity of a, b, c, k: a 3 + 1 Radon partition.
-                odd = left[math.comb(c, 3):math.comb(c + 1, 3)] ^ new[:pairs]
+                odd = old ^ new[:pairs]
                 odd ^= col[low[:pairs]]
                 odd ^= col[high[:pairs]]
                 alive &= ~odd.any(axis=0)
+            left.append(new)
         mask[start:start + len(block)][index] = alive
     return mask
 
@@ -220,9 +218,11 @@ def convex_position_mask(samples: np.ndarray) -> np.ndarray:
 # -- estimators ------------------------------------------------------------
 
 
-def _batches(count):
-    """Sizes of the `MASK_BLOCK` batches that cover ``count`` samples."""
-    return [min(MASK_BLOCK, count - s) for s in range(0, count, MASK_BLOCK)]
+def _batches(draw, count, rng):
+    """Yield ``draw(batch, rng)`` for each `MASK_BLOCK` batch of ``count``
+    samples, in order, all from one stream ``rng``."""
+    for start in range(0, count, MASK_BLOCK):
+        yield draw(min(MASK_BLOCK, count - start), rng)
 
 
 def _worker_chunks(samples, workers):
@@ -230,15 +230,19 @@ def _worker_chunks(samples, workers):
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
-def _count_hits(body, n, count, stream):
-    """Samples in convex position among ``count`` n-point samples drawn
-    from the ``SeedSequence`` ``stream``, in batches of `MASK_BLOCK`."""
-    rng = np.random.Generator(np.random.PCG64(stream))
-    hits = 0
-    for batch in _batches(count):
-        pts = bodies.sample_points(body, batch * n, rng).reshape(batch, n, 2)
-        hits += int(convex_position_mask(pts).sum())
-    return hits
+def _count_hits(draw, count, stream):
+    """Samples in convex position among ``count`` samples that ``draw``
+    takes from the stream seeded by ``stream`` (a seed or SeedSequence)."""
+    rng = np.random.default_rng(stream)
+    return sum(int(convex_position_mask(pts).sum())
+               for pts in _batches(draw, count, rng))
+
+
+def _body_draw(body, n):
+    """Draw of ``batch`` n-point samples from the body, as (batch, n, 2)."""
+    def draw(batch, rng):
+        return bodies.sample_points(body, batch * n, rng).reshape(batch, n, 2)
+    return draw
 
 
 def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
@@ -255,8 +259,7 @@ def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     jobs = (
-        [body] * workers,
-        [n] * workers,
+        [_body_draw(body, n)] * workers,
         _worker_chunks(samples, workers),
         np.random.SeedSequence(seed).spawn(workers),
     )
@@ -300,10 +303,13 @@ def estimate_Q_rb(body, n, samples, seed=0) -> EstimateResult:
         raise ValueError("conditional estimator supports n in {3, 4, 5}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed))
-    )
-    values = conditional_samples(body, n, samples, rng)
+    lo, hi = bodies.x_range(body)
+    rng = np.random.default_rng(seed)
+    rows = (row for pts in _batches(_body_draw(body, n), samples, rng)
+            for row in np.sort(pts[:, :, 0], axis=1))
+    values = np.empty(samples)
+    for i, row in enumerate(rows):
+        values[i] = float(rb_conditional(body, _rb_abscissas(row, lo, hi)))
     estimate = float(np.mean(values))
     if samples > 1:
         std_error = math.sqrt(float(np.var(values, ddof=1)) / samples)
@@ -323,23 +329,15 @@ def estimate_Q_rb(body, n, samples, seed=0) -> EstimateResult:
     )
 
 
-def conditional_samples(body, n, samples, rng) -> np.ndarray:
-    """Array of exact conditional probabilities, one per abscissa draw."""
-    xs = bodies.sample_points(body, samples * n, rng)[:, 0].reshape(
-        samples, n
-    )
-    xs.sort(axis=1)
-    lo, hi = bodies.x_range(body)
-    values = np.empty(samples)
-    for i in range(samples):
-        row = [round_to_dyadic(float(v), ABSCISSA_BITS) for v in xs[i]]
+def _rb_abscissas(xs, lo, hi):
+    """Sorted float abscissas as distinct rationals clamped to [lo, hi]."""
+    row = [round_to_dyadic(float(v), ABSCISSA_BITS) for v in xs]
+    row = [min(max(v, lo), hi) for v in row]
+    if len(set(row)) != len(row):
+        # Rounding tie: fall back to full float precision.
+        row = [Fraction(float(v)) for v in xs]
         row = [min(max(v, lo), hi) for v in row]
-        if len(set(row)) != n:
-            # Rounding tie: fall back to full float precision.
-            row = [Fraction(float(v)) for v in xs[i]]
-            row = [min(max(v, lo), hi) for v in row]
-        values[i] = float(rb_conditional(body, row))
-    return values
+    return row
 
 
 def estimate_segments(segments, samples, seed=0) -> EstimateResult:
@@ -353,17 +351,16 @@ def estimate_segments(segments, samples, seed=0) -> EstimateResult:
     xs = [float(s.x) for s in segments]
     if len(set(xs)) != k:
         raise ValueError("duplicate abscissas")
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed))
-    )
     lows = np.array([float(s.y_low) for s in segments])
     spans = np.array([float(s.width) for s in segments])
-    hits = 0
-    # Row blocks of one C-order (samples, k) draw: the stream, and so the
-    # hits, do not depend on the block size.
-    for batch in _batches(samples):
+
+    def draw(batch, rng):
+        # Row blocks of one C-order (samples, k) draw: the stream, and so
+        # the hits, do not depend on the block size.
         pts = np.empty((batch, k, 2))
         pts[:, :, 0] = xs
         pts[:, :, 1] = lows + rng.random((batch, k)) * spans
-        hits += int(convex_position_mask(pts).sum())
+        return pts
+
+    hits = _count_hits(draw, samples, seed)
     return _binomial_result(k, samples, hits, seed, 1)

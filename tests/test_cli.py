@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,6 +189,34 @@ def test_malformed_body_and_family_shapes(capsys):
         assert_document_error(
             capsys, ["cond", "--family", json.dumps(dict(family, xbar=xbar))],
             """field 'xbar' must be ["p/q", ...]""")
+
+
+def test_estimate_rejects_body_without_float_image(capsys):
+    # Exact bodies whose float image has an infinite entry, or no area: the
+    # sampler would overflow or draw every point on a line.
+    disk = {"type": "disk", "center": ["0", "0"], "r": "1e400"}
+    cases = [
+        (disk, "disk radius is not finite in floating point"),
+        (dict(disk, center=["1e400", "0"], r="1"),
+         "disk center is not finite in floating point"),
+        (dict(disk, r="1e200"), "disk area is inf in floating point"),
+        ({"type": "polygon", "vertices": [["0", "0"], ["1e400", "0"],
+                                          ["0", "1"]]},
+         "polygon vertex is not finite in floating point"),
+        ({"type": "polygon", "vertices": [["0", "0"], ["1", "0"],
+                                          ["0", "1e-400"]]},
+         "polygon area is 0.0 in floating point"),
+        ({"type": "ellipse", "m": [["1e-400", "0"], ["0", "1"]],
+          "t": ["0", "0"]},
+         "ellipse area is 0.0 in floating point"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for body, message in cases:
+            argv = ["estimate", "--body", json.dumps(body), "--n", "4",
+                    "--samples", "2000"]
+            for extra in ([], ["--rb"], ["--workers", "2"]):
+                assert_document_error(capsys, argv + extra, message)
 
 
 def test_estimate(capsys):

@@ -1,6 +1,8 @@
 import concurrent.futures
+import math
 import os
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sylvester import bodies
+from sylvester import bodies, montecarlo
 from sylvester.bodies import Disk, Polygon, sample_points, triangle
 from sylvester.montecarlo import (
+    ABSCISSA_BITS,
     MASK_BLOCK,
     _binomial_result,
     _count_hits,
@@ -22,6 +25,7 @@ from sylvester.montecarlo import (
     is_convex_position,
     rb_conditional,
 )
+from sylvester.rationals import round_to_dyadic
 from sylvester.segments import VerticalSegment
 
 TRI = triangle((0, 0), (1, 0), (0, 1))
@@ -216,10 +220,62 @@ def test_batches_bound_sample_points(monkeypatch):
     assert sum(sizes) == samples * 5
 
 
+def test_rb_draws_in_batches(monkeypatch):
+    # A cheap exact conditional in place of the polynomial one; the
+    # reference draws the same MASK_BLOCK batches by hand.
+    def spread(body, abscissas):
+        return abscissas[-1] - abscissas[0]
+
+    sizes = []
+    original = bodies.sample_points
+
+    def recording(body, count, rng):
+        sizes.append(count)
+        return original(body, count, rng)
+
+    monkeypatch.setattr(montecarlo, "rb_conditional", spread)
+    monkeypatch.setattr(bodies, "sample_points", recording)
+    n, samples, seed = 5, 2 * MASK_BLOCK + 5, 7
+    result = estimate_Q_rb(DISK, n, samples, seed=seed)
+    assert max(sizes) <= MASK_BLOCK * n
+    assert sum(sizes) == samples * n
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    lo, hi = bodies.x_range(DISK)
+    values = []
+    for batch in (MASK_BLOCK, MASK_BLOCK, 5):
+        xs = original(DISK, batch * n, rng)[:, 0].reshape(batch, n)
+        for row in np.sort(xs, axis=1):
+            row = [min(max(round_to_dyadic(float(v), ABSCISSA_BITS), lo), hi)
+                   for v in row]
+            assert len(set(row)) == n
+            values.append(float(spread(DISK, row)))
+    assert result.estimate == float(np.mean(values))
+    assert result.std_error == math.sqrt(np.var(values, ddof=1) / samples)
+
+
+def test_mask_memory_follows_survivors():
+    # 200 uniform points per sample: a table of every triple would be
+    # C(200, 3) rows of 512 booleans, 672 MB.
+    pts = np.random.default_rng(5).random((512, 200, 2))
+    tracemalloc.start()
+    try:
+        mask = convex_position_mask(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not mask.any()
+    assert peak < 64 * 2**20
+
+
 def test_threads_match_sequential_chunks(monkeypatch):
     samples, seed, workers = 30_001, 12, 3
+
+    def draw(batch, rng):
+        return sample_points(SQUARE, batch * 5, rng).reshape(batch, 5, 2)
+
     expected = sum(
-        _count_hits(SQUARE, 5, chunk, stream)
+        _count_hits(draw, chunk, stream)
         for chunk, stream in zip(
             _worker_chunks(samples, workers),
             np.random.SeedSequence(seed).spawn(workers),
