@@ -9,14 +9,18 @@ polygons, disks and every ellipse; shaking a curved body goes through its
 inscribed `CURVED_APPROX_VERTICES`-gon.  The boundary functions fix the
 reading y_top = sup, y_bottom = inf of the slice ordinates, and the support
 is [min abscissa, max abscissa].
+
+numpy is imported inside the functions that draw or test floats
+(`sample_points`, `contains`, `inscribed_polygon`), not at module level:
+every command imports this module, and the exact ones would otherwise pay
+numpy's start-up for nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .rationals import (
     DocumentError,
@@ -177,7 +181,7 @@ class AreaValue:
     pi_power: int
 
     def __float__(self):
-        return float(self.coefficient) * float(np.pi) ** self.pi_power
+        return float(self.coefficient) * math.pi ** self.pi_power
 
 
 def area(body):
@@ -237,6 +241,8 @@ def inscribed_polygon(body, vertex_count) -> Polygon:
     Boundary points at `vertex_count` angles, each rounded to high-precision
     rationals; the rounding is documented, not exact.
     """
+    import numpy as np
+
     m, t = _frame(body)
     pts = []
     for k in range(vertex_count):
@@ -313,6 +319,8 @@ def contains(body, point) -> bool:
             _cross(verts[i], verts[(i + 1) % n], (x, y)) >= 0
             for i in range(n)
         )
+    import numpy as np
+
     m, t = _frame(body)
     m = np.array([[float(v) for v in row] for row in m])
     t = np.array([float(v) for v in t])
@@ -326,6 +334,8 @@ def contains(body, point) -> bool:
 def _finite_floats(values, what):
     """Float array of exact values; ValueError naming ``what`` if one of
     them has no finite float image."""
+    import numpy as np
+
     try:
         out = np.array(values, dtype=float)
     except OverflowError:
@@ -336,7 +346,7 @@ def _finite_floats(values, what):
 
 
 def _check_float_area(body, doubled):
-    if not 0 < doubled < np.inf:
+    if not 0 < doubled < math.inf:
         raise ValueError(f"{type(body).__name__.lower()} area is "
                          f"{float(doubled) / 2} in floating point")
 
@@ -352,6 +362,8 @@ def sample_points(body, count, rng) -> np.ndarray:
     is not a body: an entry is not finite, or its area is not a positive
     finite float.
     """
+    import numpy as np
+
     if isinstance(body, Polygon):
         # Fan triangles (v0, v0 + a_k, v0 + b_k).  The order statistics
         # lo <= hi of two uniforms give barycentric weights

@@ -17,6 +17,10 @@ time and checks every new four-point subset by the parity of its triple
 orientations (a 2 + 2 Radon partition), dropping failed samples as it goes.
 Uniform draws rarely stay in convex position as points are added, so its
 cost follows the survivors, not the C(n, 4) subsets of every sample.
+
+numpy is imported inside the functions that draw or test floats, not at
+module level: every command imports this module, and the exact ones
+(`verify`, `kpoly`, ...) would otherwise pay numpy's start-up for nothing.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
-
-import numpy as np
 
 from . import bodies
 from .rationals import round_to_dyadic
@@ -163,6 +165,8 @@ def convex_position_mask(samples: np.ndarray) -> np.ndarray:
     survivors; a block whose samples are all in convex position holds
     C(n, 3) rows and costs C(n, 4) parity rows.
     """
+    import numpy as np
+
     S, n, _ = samples.shape
     if n < 3:
         raise ValueError("need at least three points")
@@ -233,6 +237,8 @@ def _worker_chunks(samples, workers):
 def _count_hits(draw, count, stream):
     """Samples in convex position among ``count`` samples that ``draw``
     takes from the stream seeded by ``stream`` (a seed or SeedSequence)."""
+    import numpy as np
+
     rng = np.random.default_rng(stream)
     return sum(int(convex_position_mask(pts).sum())
                for pts in _batches(draw, count, rng))
@@ -258,6 +264,8 @@ def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
         raise ValueError("samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    import numpy as np
+
     jobs = (
         [_body_draw(body, n)] * workers,
         _worker_chunks(samples, workers),
@@ -303,6 +311,8 @@ def estimate_Q_rb(body, n, samples, seed=0) -> EstimateResult:
         raise ValueError("conditional estimator supports n in {3, 4, 5}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    import numpy as np
+
     lo, hi = bodies.x_range(body)
     rng = np.random.default_rng(seed)
     rows = (row for pts in _batches(_body_draw(body, n), samples, rng)
@@ -348,11 +358,14 @@ def estimate_segments(segments, samples, seed=0) -> EstimateResult:
         raise ValueError("need at least three segments")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    xs = [float(s.x) for s in segments]
+    import numpy as np
+
+    xs = bodies._finite_floats([s.x for s in segments], "segment abscissa")
     if len(set(xs)) != k:
         raise ValueError("duplicate abscissas")
-    lows = np.array([float(s.y_low) for s in segments])
-    spans = np.array([float(s.width) for s in segments])
+    lows = bodies._finite_floats([s.y_low for s in segments], "segment y_low")
+    spans = bodies._finite_floats([s.width for s in segments],
+                                  "segment width")
 
     def draw(batch, rng):
         # Row blocks of one C-order (samples, k) draw: the stream, and so

@@ -430,6 +430,68 @@ def test_structure_check_survives_optimize_flag():
     assert "StructureError: odd beta-degree term survived" in proc.stderr
 
 
+def test_exact_commands_do_not_load_numpy():
+    # numpy is imported only where floats are drawn or tested, so the exact
+    # commands start without it.
+    family = json.dumps({
+        "N": 2, "xbar": ["0", "1/3", "2/3", "1"], "L0": "0", "L1": "0",
+        "lambda": ["0", "1/2", "1/2", "0"], "beta": ["0", "0", "0", "0"],
+    })
+    commands = [
+        ["verify", "--case", "n4"],
+        ["kpoly", "--x", "1/3,2/3", "--lengths", "1/1,1/1"],
+        ["comb", "--comb", COMB],
+        ["cond", "--family", family],
+        ["closed-forms"],
+        ["transform", "--op", "sym", "--body", "triangle"],
+        ["transform", "--op", "sha", "--body", "triangle"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import sylvester.cli as cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        print(argv, cli.main(argv), file=sys.stderr)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [f"{argv} {cli.EXIT_OK}"
+                                        for argv in commands]
+    assert proc.stdout == "False\n"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import sylvester.cli"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "sylvester.cli" in proc.stderr
+    assert [line for line in proc.stderr.splitlines()
+            if "numpy" in line] == []
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("estimate_disk_n5_w2", ["estimate", "--body", "disk", "--n", "5",
+                             "--samples", "50000", "--seed", "1",
+                             "--workers", "2"]),
+    ("estimate_rb_disk", ["estimate", "--rb", "--n", "5", "--samples", "10",
+                          "--seed", "1", "--body", "disk"]),
+])
+def test_float_commands_golden_in_fresh_interpreter(name, argv):
+    # numpy's first import happens inside the command, here; the in-process
+    # golden tests run with numpy already loaded.
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sylvester.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA_DIR / f"{name}.json").read_text()
+
+
 def test_no_assert_statements_in_package():
     # Checks must still run under python -O, which strips assert statements.
     found = [

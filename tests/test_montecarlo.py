@@ -409,6 +409,22 @@ def test_estimate_segments_no_hits():
     assert low == 0.0 and high == pytest.approx(1.96**2 / (500 + 1.96**2))
 
 
+def test_estimate_segments_without_float_image():
+    # Exact abscissas and bounds with no finite float image: a ValueError
+    # naming the field, not an OverflowError from float().
+    big = 10**400
+    segs = [VerticalSegment(x, 0, 1) for x in (0, big, 2 * big)]
+    with pytest.raises(ValueError, match="segment abscissa is not finite"):
+        estimate_segments(segs, 10)
+    segs = [VerticalSegment(x, 0, 1) for x in (0, 1, 2)]
+    segs[1] = VerticalSegment(1, -big, 0)
+    with pytest.raises(ValueError, match="segment y_low is not finite"):
+        estimate_segments(segs, 10)
+    segs[1] = VerticalSegment(1, -1e308, 1e308)
+    with pytest.raises(ValueError, match="segment width is not finite"):
+        estimate_segments(segs, 10)
+
+
 def test_wilson_interval_inside():
     result = _binomial_result(5, 10_000, 3_000, 0, 1)
     low, high = result.ci95
