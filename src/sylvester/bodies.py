@@ -168,6 +168,43 @@ def y_bounds(body, x):
     return mid - half, mid + half
 
 
+def slice_bounds(body, x):
+    """Float (bottom, top) arrays of the vertical slices at the float
+    abscissas ``x``, an array of any shape inside the support: `y_bounds`
+    over many abscissas at once.
+
+    A polygon's bottom is the largest, and its top the smallest, of its
+    edge lines, which equals `y_bounds` on the support since the polygon
+    is convex.  An ellipse slice is its chord, with n2 - d^2 clipped at 0,
+    so an abscissa rounded just past the support gets a zero-width slice.
+    """
+    import numpy as np
+
+    if isinstance(body, Polygon):
+        verts = _finite_floats(body.vertices, "polygon vertex")
+        bottom = np.full(x.shape, -np.inf)
+        top = np.full(x.shape, np.inf)
+        for (x0, y0), (x1, y1) in zip(verts, np.roll(verts, -1, axis=0)):
+            if x0 == x1:
+                continue
+            line = y0 + (y1 - y0) / (x1 - x0) * (x - x0)
+            # Counter-clockwise: an edge running right is on the bottom.
+            if x0 < x1:
+                np.maximum(bottom, line, out=bottom)
+            else:
+                np.minimum(top, line, out=top)
+        return bottom, top
+    names = ("radius", "center") if isinstance(body, Disk) else ("m", "t")
+    ((a0, a1), (b0, b1)), (t0, t1) = (
+        _finite_floats(v, f"{type(body).__name__.lower()} {name}")
+        for v, name in zip(_frame(body), names))
+    n2 = a0 * a0 + a1 * a1
+    d = x - t0
+    middle = t1 + d * ((a0 * b0 + a1 * b1) / n2)
+    half = abs(a0 * b1 - a1 * b0) / n2 * np.sqrt(np.maximum(n2 - d * d, 0))
+    return middle - half, middle + half
+
+
 def width(body, x):
     lo, hi = y_bounds(body, x)
     return hi - lo

@@ -97,26 +97,41 @@ def comb_poly(x, lengths):
     _check_interior_abscissas(x)
     if len(x) != len(lengths):
         raise ValueError("abscissa / length count mismatch")
-    X = [Fraction(0), *x, Fraction(1)]
-    known = {}
+    if not x:
+        return Fraction(1)
+    return _pivot_recurrence(
+        [Fraction(0), *x, Fraction(1)],
+        [v if isinstance(v, MultiPoly) else to_fraction(v) for v in lengths])
 
-    def sub(a, b, h):
-        if b - a < 3:
-            return h[a + 1] if b - a == 2 else Fraction(1)
-        return sum(h[j] * part(a, j, h) * part(b, j, h)
-                   for j in range(a + 1, b)) / (b - a - 1)
 
-    def part(c, j, h):
-        a, b = sorted((c, j))
-        if (a, b) not in known:
-            known[a, b] = sub(a, b, {
-                i: h[i] - (X[i] - X[c]) / (X[j] - X[c]) * h[j]
-                for i in range(a + 1, b)})
-        return known[a, b]
+def _pivot_recurrence(X, heights):
+    """`comb_poly`'s recurrence, unchecked, over any number type with + - * /.
 
-    return sub(0, len(X) - 1, {
-        i: v if isinstance(v, MultiPoly) else to_fraction(v)
-        for i, v in enumerate(lengths, 1)})
+    ``X`` lists the abscissas of both ends and the m teeth between them,
+    ``heights`` the m tooth heights: Fractions, MultiPoly values, or float
+    arrays that broadcast against the abscissas (one comb per element).  At
+    m = 0 the result is the int 1.
+    """
+    return _sub_comb(X, {}, 0, len(X) - 1, dict(enumerate(heights, 1)))
+
+
+# Module-level functions, not closures over each other: closures that call
+# each other form a reference cycle, which would keep every array in
+# ``known`` alive until the cyclic garbage collector runs.
+def _sub_comb(X, known, a, b, h):
+    if b - a < 3:
+        return h[a + 1] if b - a == 2 else 1
+    return sum(h[j] * _part(X, known, a, j, h) * _part(X, known, b, j, h)
+               for j in range(a + 1, b)) / (b - a - 1)
+
+
+def _part(X, known, c, j, h):
+    a, b = sorted((c, j))
+    if (a, b) not in known:
+        known[a, b] = _sub_comb(X, known, a, b, {
+            i: h[i] - (X[i] - X[c]) / (X[j] - X[c]) * h[j]
+            for i in range(a + 1, b)})
+    return known[a, b]
 
 
 def enumerate_triangulations(m):

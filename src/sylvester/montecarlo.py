@@ -18,6 +18,12 @@ orientations (a 2 + 2 Radon partition), dropping failed samples as it goes.
 Uniform draws rarely stay in convex position as points are added, so its
 cost follows the survivors, not the C(n, 4) subsets of every sample.
 
+The Rao-Blackwellized estimator averages the probability conditional on
+each sample's abscissas.  `rb_conditionals` evaluates it in float64 for a
+whole batch at once, from the paper's split-sum formula at Gauss nodes
+(`segments.segment_probabilities`), to within 1e-12 of the exact
+`rb_conditional`, which stays as its oracle.
+
 numpy is imported inside the functions that draw or test floats, not at
 module level: every command imports this module, and the exact ones
 (`verify`, `kpoly`, ...) would otherwise pay numpy's start-up for nothing.
@@ -32,17 +38,15 @@ from fractions import Fraction
 from numbers import Rational
 
 from . import bodies
-from .rationals import round_to_dyadic
 from .segments import (
     VerticalSegment,
     clamped_family,
     family_probability,
     normalize,
+    segment_probabilities,
 )
 
-#: Dyadic rounding (bits) applied to sampled abscissas before exact
-#: conditional evaluation; keeps rational arithmetic fast, perturbs each
-#: conditional by O(2^-26) which is negligible against Monte Carlo noise.
+#: Unused here; bench/tracing.py's dyadic-tie counter still reads it.
 ABSCISSA_BITS = 26
 
 
@@ -298,14 +302,31 @@ def rb_conditional(body, abscissas) -> Fraction:
     return family_probability(family)
 
 
+def rb_conditionals(body, rows):
+    """`rb_conditional` in float64 for each row of a sorted (S, n) float
+    abscissa array, n in {3, 4, 5}, all rows at once.
+
+    Each abscissa is first clamped to the support.  The result is within
+    1e-12 of the exact conditional at the clamped abscissas; a row with a
+    repeated abscissa raises ValueError, and a family outside the
+    admissible set by more than rounding raises CompaError.
+    """
+    import numpy as np
+
+    lo, hi = bodies.x_range(body)
+    x = np.clip(rows, float(lo), float(hi))
+    return segment_probabilities(x, *bodies.slice_bounds(body, x))
+
+
 def estimate_Q_rb(body, n, samples, seed=0) -> EstimateResult:
     """Rao-Blackwellized estimator: keep only the sampled abscissas and
-    average the exact conditional probability given them.
+    average the convex-position probability conditional on them.
 
-    The returned std_error comes from the sample variance of the
-    conditionals (at one sample, 0.5: the largest standard deviation of a
-    [0, 1]-valued conditional) and ci95 lies in [0, 1]; `hits` is None
-    (there is no underlying indicator count).
+    Each conditional is the float `rb_conditionals`, within 1e-12 of the
+    exact `rb_conditional`.  The returned std_error comes from the sample
+    variance of the conditionals (at one sample, 0.5: the largest standard
+    deviation of a [0, 1]-valued conditional) and ci95 lies in [0, 1];
+    `hits` is None (there is no underlying indicator count).
     """
     if n not in (3, 4, 5):
         raise ValueError("conditional estimator supports n in {3, 4, 5}")
@@ -313,16 +334,12 @@ def estimate_Q_rb(body, n, samples, seed=0) -> EstimateResult:
         raise ValueError("samples must be >= 1")
     import numpy as np
 
-    lo, hi = bodies.x_range(body)
     rng = np.random.default_rng(seed)
-    rows = (row for pts in _batches(_body_draw(body, n), samples, rng)
-            for row in np.sort(pts[:, :, 0], axis=1))
-    values = np.empty(samples)
-    for i, row in enumerate(rows):
-        values[i] = float(rb_conditional(body, _rb_abscissas(row, lo, hi)))
-    estimate = float(np.mean(values))
+    estimate, squares = _moments(
+        rb_conditionals(body, np.sort(pts[:, :, 0], axis=1))
+        for pts in _batches(_body_draw(body, n), samples, rng))
     if samples > 1:
-        std_error = math.sqrt(float(np.var(values, ddof=1)) / samples)
+        std_error = math.sqrt(squares / (samples - 1) / samples)
         ci95 = (max(0.0, estimate - 1.96 * std_error),
                 min(1.0, estimate + 1.96 * std_error))
     else:
@@ -339,15 +356,21 @@ def estimate_Q_rb(body, n, samples, seed=0) -> EstimateResult:
     )
 
 
-def _rb_abscissas(xs, lo, hi):
-    """Sorted float abscissas as distinct rationals clamped to [lo, hi]."""
-    row = [round_to_dyadic(float(v), ABSCISSA_BITS) for v in xs]
-    row = [min(max(v, lo), hi) for v in row]
-    if len(set(row)) != len(row):
-        # Rounding tie: fall back to full float precision.
-        row = [Fraction(float(v)) for v in xs]
-        row = [min(max(v, lo), hi) for v in row]
-    return row
+def _moments(batches):
+    """(mean, sum of squared deviations from it) of float batches, merged
+    one batch at a time (Chan, Golub and LeVeque), so that memory does not
+    grow with their total size.  For one batch they are exactly ``np.mean``
+    and the sum that ``np.var(ddof=1)`` divides by the size less one."""
+    count, mean, squares = 0, 0.0, 0.0
+    for values in batches:
+        size = len(values)
+        batch_mean = float(values.mean())
+        delta = batch_mean - mean
+        count += size
+        mean += delta * (size / count)
+        squares += (float(((values - batch_mean) ** 2).sum())
+                    + delta * delta * (count - size) * (size / count))
+    return mean, squares
 
 
 def estimate_segments(segments, samples, seed=0) -> EstimateResult:

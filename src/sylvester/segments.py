@@ -1,5 +1,5 @@
 """Vertical-segment families: normalization, symmetry defects, and the exact
-conditional convex-position probability.
+conditional convex-position probability, with its float64 batch form.
 
 A family of N+2 vertical segments is normalized by the unique verticality
 preserving affine map sending the middles of the extreme segments to (0,0)
@@ -12,10 +12,11 @@ family, beta = lam the shaken one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combs import comb_poly
+from .combs import _pivot_recurrence, comb_poly
 from .poly import MultiPoly, as_poly
 from .rationals import format_rational, read_field, to_fraction
 
@@ -242,13 +243,21 @@ def convexity_integrand(xbar, l_plus, l_minus):
     # Slice parts measured from the chord, above it and below it.
     up = [as_poly(lp) - uj for lp, uj in zip(l_plus, u)]
     down = [as_poly(lm) + uj for lm, uj in zip(l_minus, u)]
-    total = Fraction(0)
+    return _split_sum(interior_x, up, down, comb_poly)
+
+
+def _split_sum(xs, up, down, comb):
+    """Sum over the above/below partitions of the interior slices at ``xs``
+    of comb(above parts) * comb(below parts), for a comb function ``comb``
+    of (abscissas, tooth lengths) over any number type."""
+    N = len(xs)
+    total = 0
     for mask in range(1 << N):
         above = [j for j in range(N) if mask >> j & 1]
         below = [j for j in range(N) if not mask >> j & 1]
-        ka = comb_poly([interior_x[j] for j in above], [up[j] for j in above])
-        kb = comb_poly([interior_x[j] for j in below], [down[j] for j in below])
-        total = total + ka * kb
+        total = total + (
+            comb([xs[j] for j in above], [up[j] for j in above])
+            * comb([xs[j] for j in below], [down[j] for j in below]))
     return total
 
 
@@ -298,7 +307,8 @@ def _average_over_extreme(poly, var, half_width):
     return poly.integrate_box(var, -half_width, half_width) / (2 * half_width)
 
 
-#: Largest violation of the admissible set that `clamped_family` repairs.
+#: Largest violation of the admissible set that `clamped_family` repairs,
+#: and that `segment_probabilities` allows beyond rounding.
 CLAMP_TOLERANCE = Fraction(1, 10**9)
 
 
@@ -329,3 +339,67 @@ def clamped_family(family: NormalizedFamily):
     if scale < 1:
         beta = [b * scale for b in beta]
     return family.with_beta(beta)
+
+
+def segment_probabilities(x, bottom, top):
+    """Float `family_probability` of the normalized family of each row.
+
+    ``x``, ``bottom`` and ``top`` are (S, N + 2) float arrays, 1 <= N <= 3:
+    row s is a family of vertical segments at strictly increasing
+    abscissas, as `normalize` takes it.  The admissibility check is
+    `clamped_family`'s without the clamp: a violation above
+    CLAMP_TOLERANCE, plus what rounding can make of the row, raises
+    CompaError, and a smaller one is evaluated as it is.  The split sum of
+    `convexity_integrand` has degree at most N <= 3 in each of u0 and u1,
+    so the two-point Gauss-Legendre rule u = +-L/sqrt(3) in each averages
+    it exactly; it is evaluated at those four nodes for every row at once.
+    """
+    import numpy as np
+
+    if not 3 <= x.shape[1] <= 5:
+        raise ValueError("the float family probability needs 3 to 5 segments")
+    if not all(np.isfinite(v).all() for v in (x, bottom, top)):
+        raise ValueError("segment bounds are not finite")
+    xbar = (x - x[:, :1]) / (x[:, -1:] - x[:, :1])
+    if not (xbar[:, 1:] > xbar[:, :-1]).all():
+        raise ValueError("segment abscissas must be strictly increasing")
+    half = (top - bottom) / 2
+    middle = (top + bottom) / 2
+    trapezoid = half[:, :1] + (half[:, -1:] - half[:, :1]) * xbar
+    chord = middle[:, :1] + (middle[:, -1:] - middle[:, :1]) * xbar
+    lam = half - trapezoid
+    beta = middle - chord
+    lam[:, [0, -1]] = beta[:, [0, -1]] = 0
+
+    gaps = np.diff(xbar, axis=1)
+
+    def slope_defects(values):
+        slopes = np.diff(values, axis=1) / gaps
+        return slopes[:, :-1] - slopes[:, 1:]
+
+    # Rounding moves each bound by a few eps times the row's largest
+    # ordinate, and a slope by that over its gap: close abscissas can fake
+    # a violation far above CLAMP_TOLERANCE, so that much more is allowed.
+    rounding = 64 * np.finfo(float).eps * np.maximum(
+        abs(top), abs(bottom)).max(axis=1, keepdims=True)
+    for what, excess, allowed in (
+            ("defect exceeds excess", abs(beta) - lam, rounding),
+            ("slope defect exceeds bound",
+             abs(slope_defects(beta)) - slope_defects(lam),
+             rounding * (1 / gaps[:, :-1] + 1 / gaps[:, 1:]))):
+        if (excess - allowed > float(CLAMP_TOLERANCE)).any():
+            raise CompaError(f"{what} by {excess.max()}")
+    width = (top - bottom)[:, 1:-1]
+    if (width <= 0).any():
+        raise ValueError("zero interior slice width")
+    # Node axis first: (4, S) node values broadcast against (S,) abscissas.
+    g = 1 / math.sqrt(3)
+    u0 = np.array([[-g], [-g], [g], [g]]) * half[:, 0]
+    u1 = np.array([[-g], [g], [-g], [g]]) * half[:, -1]
+    xs = list(xbar[:, 1:-1].T)
+    u = [u0 + xj * (u1 - u0) for xj in xs]
+    up = [t - uj for t, uj in zip((top - chord)[:, 1:-1].T, u)]
+    down = [b + uj for b, uj in zip((chord - bottom)[:, 1:-1].T, u)]
+    total = _split_sum(xs, up, down, lambda teeth, heights:
+                       _pivot_recurrence([0, *teeth, 1], heights))
+    return total.mean(axis=0) / width.prod(axis=1)

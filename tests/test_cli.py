@@ -243,8 +243,8 @@ def test_estimate_rb(capsys):
 
 
 def test_estimate_rb_golden(capsys):
-    # The Rao-Blackwell path runs the exact integrand on every sample, so
-    # its output pins the polynomial arithmetic end to end.
+    # The Rao-Blackwell path runs the float kernel on every sample, so its
+    # output pins the slices, the comb recurrence and the Gauss nodes.
     for body in ("triangle", "disk"):
         cli.main(["estimate", "--rb", "--n", "5", "--samples", "10",
                   "--seed", "1", "--body", body])

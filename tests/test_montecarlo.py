@@ -11,12 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sylvester import bodies, montecarlo
-from sylvester.bodies import Disk, Polygon, sample_points, triangle
+from sylvester.bodies import (
+    Disk,
+    Ellipse,
+    Polygon,
+    affine_image,
+    sample_points,
+    triangle,
+)
 from sylvester.montecarlo import (
-    ABSCISSA_BITS,
     MASK_BLOCK,
     _binomial_result,
     _count_hits,
+    _moments,
     _worker_chunks,
     convex_position_mask,
     estimate_Q,
@@ -24,9 +31,13 @@ from sylvester.montecarlo import (
     estimate_segments,
     is_convex_position,
     rb_conditional,
+    rb_conditionals,
 )
-from sylvester.rationals import round_to_dyadic
-from sylvester.segments import VerticalSegment
+from sylvester.segments import (
+    CompaError,
+    VerticalSegment,
+    segment_probabilities,
+)
 
 TRI = triangle((0, 0), (1, 0), (0, 1))
 SQUARE = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -221,10 +232,10 @@ def test_batches_bound_sample_points(monkeypatch):
 
 
 def test_rb_draws_in_batches(monkeypatch):
-    # A cheap exact conditional in place of the polynomial one; the
-    # reference draws the same MASK_BLOCK batches by hand.
-    def spread(body, abscissas):
-        return abscissas[-1] - abscissas[0]
+    # A cheap conditional in place of the float kernel; the reference draws
+    # the same MASK_BLOCK batches by hand.
+    def spread(body, rows):
+        return rows[:, -1] - rows[:, 0]
 
     sizes = []
     original = bodies.sample_points
@@ -233,7 +244,7 @@ def test_rb_draws_in_batches(monkeypatch):
         sizes.append(count)
         return original(body, count, rng)
 
-    monkeypatch.setattr(montecarlo, "rb_conditional", spread)
+    monkeypatch.setattr(montecarlo, "rb_conditionals", spread)
     monkeypatch.setattr(bodies, "sample_points", recording)
     n, samples, seed = 5, 2 * MASK_BLOCK + 5, 7
     result = estimate_Q_rb(DISK, n, samples, seed=seed)
@@ -241,17 +252,82 @@ def test_rb_draws_in_batches(monkeypatch):
     assert sum(sizes) == samples * n
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    lo, hi = bodies.x_range(DISK)
-    values = []
+    batches = []
     for batch in (MASK_BLOCK, MASK_BLOCK, 5):
         xs = original(DISK, batch * n, rng)[:, 0].reshape(batch, n)
-        for row in np.sort(xs, axis=1):
-            row = [min(max(round_to_dyadic(float(v), ABSCISSA_BITS), lo), hi)
-                   for v in row]
-            assert len(set(row)) == n
-            values.append(float(spread(DISK, row)))
-    assert result.estimate == float(np.mean(values))
-    assert result.std_error == math.sqrt(np.var(values, ddof=1) / samples)
+        rows = np.sort(xs, axis=1)
+        assert (np.diff(rows, axis=1) > 0).all()
+        batches.append(spread(DISK, rows))
+    estimate, squares = _moments(batches)
+    assert result.estimate == estimate
+    assert result.std_error == math.sqrt(squares / (samples - 1) / samples)
+    # The batch-by-batch moments are those of all values at once.
+    values = np.concatenate(batches)
+    assert estimate == pytest.approx(np.mean(values), rel=1e-15)
+    assert squares / (samples - 1) == pytest.approx(np.var(values, ddof=1),
+                                                    rel=1e-12)
+    one_mean, one_squares = _moments([values])
+    assert one_mean == np.mean(values)
+    assert one_squares / (samples - 1) == np.var(values, ddof=1)
+
+
+def test_rb_memory_does_not_grow_with_samples():
+    # Eight batches peak where one does: no array of all conditionals, and
+    # no batch's temporaries left for the garbage collector.
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            estimate_Q_rb(TRI, 5, samples, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    estimate_Q_rb(TRI, 5, 10, seed=0)  # one-time allocations
+    assert peak(8 * MASK_BLOCK) < 1.25 * peak(MASK_BLOCK)
+
+
+@pytest.mark.parametrize("body, n, seed", [
+    (TRI, 5, 1), (DISK, 5, 2), (SQUARE, 4, 3), (TRI, 3, 4),
+    (Ellipse(((3, 1), (1, 2)), (1, -1)), 5, 5),
+])
+def test_rb_conditionals_match_exact(body, n, seed):
+    rows = np.sort(draw(body, n, 24, seed)[:, :, 0], axis=1)
+    values = rb_conditionals(body, rows)
+    assert values.shape == (24,) and np.isfinite(values).all()
+    for row, value in zip(rows, values):
+        exact = rb_conditional(body, [Fraction(float(v)) for v in row])
+        assert abs(value - float(exact)) <= 1e-12
+
+
+def test_rb_conditionals_allow_rounding_of_far_bodies():
+    # Far from the origin, rounding bends the float slices by about
+    # 1000 eps; over close abscissas that fakes slope defects above
+    # CLAMP_TOLERANCE on some of these rows.  Translation keeps every
+    # conditional.
+    rows = np.sort(draw(TRI, 5, MASK_BLOCK, 3)[:, :, 0], axis=1)
+    far = affine_image(TRI, ((1, 0), (0, 1)), (1000, 1000))
+    assert np.abs(rb_conditionals(far, rows + 1000)
+                  - rb_conditionals(TRI, rows)).max() < 1e-9
+
+
+def test_rb_conditionals_errors():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        rb_conditionals(SQUARE, np.array([[0.1, 0.3, 0.3, 0.9]]))
+    x = np.array([[0.0, 0.5, 1.0]])
+    zero = np.zeros((1, 3))
+    with pytest.raises(ValueError, match="zero interior slice width"):
+        segment_probabilities(x, zero, zero)
+    # Hand-made families 1e-6 outside the admissible set: a bottom above
+    # the chord of its ends, and a top that is not concave.
+    with pytest.raises(CompaError, match="defect exceeds excess"):
+        segment_probabilities(x, np.array([[0, 1e-6, 0]]),
+                              np.array([[0, 1.0, 0]]))
+    x = np.array([[0, 1 / 3, 2 / 3, 1]])
+    with pytest.raises(CompaError, match="slope defect"):
+        segment_probabilities(x, np.zeros((1, 4)),
+                              np.array([[0, 1, 2 + 2e-6 / 3, 0]]))
+    # No NaN or infinity on a long seeded draw.
+    assert math.isfinite(estimate_Q_rb(TRI, 5, 200_000, seed=1).estimate)
 
 
 def test_mask_memory_follows_survivors():
@@ -353,6 +429,8 @@ def test_rb_conditional_values():
     # equally spaced slices of the unit square
     value = rb_conditional(SQUARE, [Fraction(k, 3) for k in range(4)])
     assert value == Fraction(19, 27)
+    value = rb_conditionals(SQUARE, np.array([[0, 1 / 3, 2 / 3, 1]]))[0]
+    assert abs(value - 19 / 27) <= 1e-15
     with pytest.raises(ValueError):
         estimate_Q_rb(SQUARE, 6, 10)
 
