@@ -18,6 +18,16 @@ expression: the decompositions and forms are the bilinear forms of the
 M^(k), and a failing cone check names its wrong coefficients by reading
 them off the monomials they alone own.
 
+Each abscissa point of a verify call is a `_Point`: a tuple of its
+abscissas that also carries what the checks derive from x alone, built on
+first use and kept as long as the point.  Those are the Lin helper values
+at x, the slope map lam -> p, beta -> q, and the cone table.  `verify_n5`
+keys both differences of a triple by one point, so the cone and quadratic
+checks share these, and they are freed when the call returns.  What one
+check alone reads, the l1 tables and the mirror point's table, is not
+kept.  Each check certifies each distinct polynomial of its positivity
+list once.
+
 Every "> 0" claim is certified on the ordered simplex
 0 < x1 < x2 < x3 < 1, mapped onto the open unit cube, by a Bernstein
 certificate: the power coefficients of p(t/(1+t)) (1+t)^d are the
@@ -176,17 +186,7 @@ def _check_structure(diff, N, kind):
 
 def to_slope_variables(diff, x):
     """Rewrite lam/beta in terms of the slope-difference symbols p/q."""
-    N = len(x)
-    xbar = [Fraction(0)] + [to_fraction(v) for v in x] + [Fraction(1)]
-    p = [_var(f"p{j}") for j in range(1, N + 1)]
-    q = [_var(f"q{j}") for j in range(1, N + 1)]
-    lam_of_p = profile_to_offsets(p, xbar)[1:-1]
-    beta_of_q = profile_to_offsets(q, xbar)[1:-1]
-    mapping = {}
-    for j in range(N):
-        mapping[f"lam{j + 1}"] = lam_of_p[j]
-        mapping[f"beta{j + 1}"] = beta_of_q[j]
-    return diff.substitute(mapping)
+    return diff.substitute(_point(x).slopes)
 
 
 def _split_l0_l1(diff):
@@ -270,23 +270,58 @@ def _helpers():
 HELPERS = _helpers()
 
 
+# -- abscissa points and their derived data --------------------------------
+
+
+class _Point(tuple):
+    """Abscissas that carry the data the checks derive from them alone.
+
+    Each field is built on first use and lives as long as the point, so a
+    caller that passes one point to several checks builds each table once.
+    The functions taking an abscissa tuple x accept a point too."""
+
+    def __new__(cls, x):
+        return super().__new__(cls, map(to_fraction, x))
+
+    @cached_property
+    def helper_values(self):
+        return _lin_values(HELPERS, self)
+
+    @cached_property
+    def slopes(self):
+        """lam_j -> its offset in the slope symbols p, beta_j -> in q."""
+        xbar = [Fraction(0), *self, Fraction(1)]
+        slopes = {}
+        for stem, symbol in (("lam", "p"), ("beta", "q")):
+            profile = [_var(f"{symbol}{j}") for j in range(1, len(self) + 1)]
+            offsets = profile_to_offsets(profile, xbar)[1:-1]
+            slopes.update((f"{stem}{j}", offset)
+                          for j, offset in enumerate(offsets, 1))
+        return slopes
+
+    @cached_property
+    def table(self):
+        return cone_coefficients_d2(self)
+
+
+def _point(x):
+    return x if isinstance(x, _Point) else _Point(x)
+
+
 # -- published coefficient tables (evaluated at numeric x) -----------------
 
 
-def _xvals(x):
-    return dict(zip(XVARS, map(to_fraction, x)))
-
-
-def _lin_values(helpers, xs):
+def _lin_values(helpers, x):
+    xs = dict(zip(XVARS, x))
     return {name: h.symbolic.evaluate(xs) for name, h in helpers.items()}
 
 
 def cone_coefficients_d2(x):
     """The 18 coefficients c_{k,(i,j)} of the shaken-difference constant
     part, keyed by (k, i, j) with i <= j."""
-    xs = _xvals(x)
-    x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    P = _lin_values(HELPERS, xs)
+    x = _point(x)
+    x1, x2, x3 = x
+    P = x.helper_values
     return {
         (1, 1, 1): 2 * x1**3 * (1 - x3) * (1 - x2) * (x3 - x1) / x3,
         (1, 1, 2): P["P0"] * (1 - x3) * x1**2 / x3,
@@ -317,25 +352,47 @@ def _l1_coefficients(table, x):
     return {(i, j): c * scale for (k, i, j), c in table.items() if k == 3}
 
 
-def _cone_poly(table, p, q):
-    """Four times the cone decomposition with coefficients ``table``: the
-    (p + q, p - q) form of M = _cone_matrix(table) for the l1 table, or
-    with (k, i, j) keys the sum of p_k times the form of M^(k)."""
-    s = [a + b for a, b in zip(p, q)]
-    t = [a - b for a, b in zip(p, q)]
-    if len(next(iter(table))) == 2:
-        return _form(_cone_matrix(table), s, t)
-    return sum(pk * _form(_cone_matrix(table, k), s, t)
-               for k, pk in enumerate(p, 1))
+#: The slope-difference symbols of the three slices.
+P_NAMES = ("p1", "p2", "p3")
+Q_NAMES = ("q1", "q2", "q3")
 
 
-def _cone_outcome(target, table, p, q):
+def _table_form(table, signed, lead=()):
+    """The sum, over the keys (*k, i, j) of ``table`` and the (sign, u) of
+    ``signed``, of sign * w * c * lead_k * u_i * u_j, w = 4 if i = j else 8,
+    with no lead_k for (i, j) keys; ``lead`` and each u are names of three
+    symbols.  For one (1, u) that is u^T M u, M the symmetric matrix of the
+    4 c_ij, or for (k, i, j) keys sum_k lead_k u^T M^(k) u, built as one
+    MultiPoly straight from its terms."""
+    variables = tuple(dict.fromkeys([*lead, *(v for _, u in signed for v in u)]))
+    index = {v: n for n, v in enumerate(variables)}
+    terms = {}
+    for (*k, i, j), c in table.items():
+        weight = (4 if i == j else 8) * c
+        for sign, u in signed:
+            exps = [0] * len(variables)
+            for name in (*(lead[m - 1] for m in k), u[i - 1], u[j - 1]):
+                exps[index[name]] += 1
+            exps = tuple(exps)
+            terms[exps] = terms.get(exps, 0) + sign * weight
+    return MultiPoly(variables, terms)
+
+
+def _cone_poly(table, p=P_NAMES, q=Q_NAMES):
+    """Four times the cone decomposition with coefficients ``table``, over
+    the slope symbols named ``p`` and ``q``: the (p + q, p - q) form of the
+    symmetric matrix M of the 4 c_ij for the l1 table, or with (k, i, j)
+    keys the sum of p_k times the form of M^(k).  For symmetric M,
+    (p + q)^T M (p - q) = p^T M p - q^T M q."""
+    return _table_form(table, ((1, p), (-1, q)), p)
+
+
+def _cone_outcome(target, table):
     """True if ``target`` is _cone_poly(table), else the mismatch detail."""
-    return (target == _cone_poly(table, p, q)
-            or _attribute_mismatch(target, table, p, q))
+    return target == _cone_poly(table) or _attribute_mismatch(target, table)
 
 
-def _attribute_mismatch(target, table, p, q):
+def _attribute_mismatch(target, table):
     """Name the table entries ``target`` disagrees with.
 
     Key (k, i, j) alone owns the monomial p_k q_i q_j, and key (i, j) the
@@ -345,23 +402,23 @@ def _attribute_mismatch(target, table, p, q):
     fitted = {}
     for key in table:
         i, j = key[-2:]
-        names = (*(f"p{k}" for k in key[:-2]), f"q{i}", f"q{j}")
+        names = (*(P_NAMES[k - 1] for k in key[:-2]),
+                 Q_NAMES[i - 1], Q_NAMES[j - 1])
         poly = target.with_variables(dict.fromkeys(target.variables + names))
         exps = tuple(names.count(v) for v in poly.variables)
         coefficient = poly.terms.get(exps, Fraction(0))
         fitted[key] = -coefficient / (4 if i == j else 8)
-    if _cone_poly(fitted, p, q) != target:
+    if _cone_poly(fitted) != target:
         return "residual outside the decomposition basis"
     wrong = sorted(k for k in table if fitted[k] != table[k])
     return "mismatched coefficients: " + ", ".join(map(str, wrong))
 
 
-def f1_display(x):
+def f1_display(x, beta=("beta1", "beta2", "beta3")):
     """Published closed form of the l0 coefficient of the symmetrized
-    difference (times 8), at numeric x, in the beta symbols."""
-    xs = _xvals(x)
-    x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    b1, b2, b3 = _var("beta1"), _var("beta2"), _var("beta3")
+    difference (times 8), at numeric x, in the ``beta`` symbols."""
+    x1, x2, x3 = map(to_fraction, x)
+    b1, b2, b3 = map(_var, beta)
     f = (
         b1 * b2 * (x3 - 1)
         + b1 * x2 * b3
@@ -376,8 +433,7 @@ def f1_display(x):
 def f3_display(x):
     """Published closed form of the constant (l-free) part of the
     symmetrized difference (times 4), at numeric x."""
-    xs = _xvals(x)
-    x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
+    x1, x2, x3 = map(to_fraction, x)
     b1, b2, b3 = _var("beta1"), _var("beta2"), _var("beta3")
     l1, l2, l3 = _var("lam1"), _var("lam2"), _var("lam3")
     f = (
@@ -405,36 +461,21 @@ def f3_display(x):
     return f * 4
 
 
-def mirror_poly(poly):
-    """Index reversal of the per-slice symbols of the three slices: the
-    x -> 1-x reflection of the family maps slice j to slice 4-j."""
-    mapping = {}
-    for j in (1, 2, 3):
-        for stem in ("lam", "beta", "p", "q"):
-            mapping[f"{stem}{j}"] = _var(f"{stem}{4 - j}")
-    return poly.substitute(mapping)
-
-
 def mirror_x(x):
+    """The x -> 1 - x reflection, which maps slice j to slice 4 - j: a
+    mirrored form is the form at mirror_x(x) in index-reversed symbols."""
     return tuple(1 - to_fraction(v) for v in reversed(x))
 
 
 # -- quadratic-form tables -------------------------------------------------
 
 
-def _cone_matrix(table, *k):
-    """M^(k): four times row k of the cone table, symmetrically completed;
-    with no k, four times the (i, j)-keyed l1 table."""
+def _cone_matrix(table, k):
+    """M^(k): four times row k of the cone table, symmetrically completed."""
     return tuple(
-        tuple(4 * table[(*k, min(i, j), max(i, j))] for j in (1, 2, 3))
+        tuple(4 * table[(k, min(i, j), max(i, j))] for j in (1, 2, 3))
         for i in (1, 2, 3)
     )
-
-
-def _form(m, u, v):
-    """The bilinear form sum m[i][j] u_i v_j."""
-    return sum(ui * sum(mij * vj for mij, vj in zip(row, v))
-               for ui, row in zip(u, m))
 
 
 def leading_minor(matrix, k):
@@ -514,20 +555,30 @@ def default_x_pairs(grid_size=6):
     return [(u, v) for u, v in combinations(base, 2)]
 
 
+_TRIPLE_DENOMINATORS = (7, 11, 13, 17, 19, 23)
+#: How many distinct triples those denominators allow: C(d - 1, 3) each.
+MAX_X_TRIPLES = sum(math.comb(d - 1, 3) for d in _TRIPLE_DENOMINATORS)
+
+
 def default_x_triples(count=30):
-    """Admissible (x1, x2, x3) points, denominator-diverse, deterministic."""
-    out = []
+    """Admissible (x1, x2, x3) points, denominator-diverse, deterministic.
+
+    Raises ValueError above MAX_X_TRIPLES, where the search would never
+    end."""
+    if count > MAX_X_TRIPLES:
+        raise ValueError(
+            f"at most {MAX_X_TRIPLES} distinct triples, asked for {count}"
+        )
+    out = {}
     k = 0
-    denoms = (7, 11, 13, 17, 19, 23)
+    denoms = _TRIPLE_DENOMINATORS
     while len(out) < count:
         d = denoms[k % len(denoms)]
         rng = random.Random(k)
         vals = sorted(rng.sample(range(1, d), 3))
-        triple = tuple(Fraction(v, d) for v in vals)
-        if triple not in out:
-            out.append(triple)
+        out.setdefault(tuple(Fraction(v, d) for v in vals))
         k += 1
-    return out
+    return list(out)
 
 
 # -- verification entry points ---------------------------------------------
@@ -589,7 +640,8 @@ def verify_n5(points=None) -> CertificateReport:
     abscissa triples ``points``, from one general integrand per triple."""
     if points is None:
         points = default_x_triples()
-    differences = {tuple(x): symbolic_difference(x) for x in points}
+    # Both checks read one _Point per triple, and so share its tables.
+    differences = {_Point(x): symbolic_difference(x) for x in points}
     return verify_n5_cone(differences).merge(verify_n5_quadratic(differences))
 
 
@@ -600,42 +652,45 @@ def verify_n5_cone(differences) -> CertificateReport:
 
     ``differences`` maps each abscissa triple to its symbolic_difference
     pair; the cone checks read the minoration, its second member."""
-    p = [_var(f"p{j}") for j in range(1, 4)]
-    q = [_var(f"q{j}") for j in range(1, 4)]
 
     def checks_at(x):
         # The parts of the difference are four times the published ones,
         # and so is _cone_poly.
-        diff = to_slope_variables(differences[x][1], x)
-        d0, d1, d2 = _split_l0_l1(diff)
-        table2 = cone_coefficients_d2(x)
-        xm = mirror_x(x)
-        mirrored = _l1_coefficients(cone_coefficients_d2(xm), xm)
+        x = _point(x)
+        d0, d1, d2 = _split_l0_l1(to_slope_variables(differences[x][1], x))
+        mirror = mirror_x(x)
+        mirrored = _l1_coefficients(cone_coefficients_d2(mirror), mirror)
         return {
             "n5 cone: constant part (18 coefficients)":
-                _cone_outcome(d2, table2, p, q),
+                _cone_outcome(d2, x.table),
             "n5 cone: l1 part (6 coefficients)":
-                _cone_outcome(d1, _l1_coefficients(table2, x), p, q),
+                _cone_outcome(d1, _l1_coefficients(x.table, x)),
             "n5 cone: l0 part (mirror of l1)":
-                d0 == mirror_poly(_cone_poly(mirrored, p, q)),
+                d0 == _cone_poly(mirrored, P_NAMES[::-1], Q_NAMES[::-1]),
         }
 
-    report = CertificateReport(_identity_checks(differences, checks_at))
-    report.positivity_checks.extend(
-        _lin_positivity(HELPERS, "", "on the simplex")
+    return CertificateReport(
+        _identity_checks(differences, checks_at),
+        _positivity_checks([*_lin_positivity(HELPERS, "", "on the simplex"),
+                            *_prefactor_atoms()]),
     )
-    report.positivity_checks.extend(_prefactor_positivity_checks())
-    return report
 
 
-def _positivity(name, expr):
-    return PositivityCheck(name, positivity_check(expr))
+def _positivity_checks(named):
+    """One PositivityCheck per (name, expr) of ``named``, certifying each
+    distinct expr once."""
+    verdicts = {}
+    for _, expr in named:
+        if expr not in verdicts:
+            verdicts[expr] = positivity_check(expr)
+    return [PositivityCheck(name, verdicts[expr]) for name, expr in named]
 
 
 def _lin_positivity(helpers, prefix, whole):
-    """Both endpoint values of each Lin helper, then the helper itself."""
+    """Both endpoint values of each Lin helper, then the helper itself, as
+    (check name, polynomial) pairs."""
     return [
-        _positivity(f"{prefix}{name} {label}", expr)
+        (f"{prefix}{name} {label}", expr)
         for name, h in sorted(helpers.items())
         for label, expr in (
             ("endpoint (low)", h.value_a),
@@ -645,9 +700,10 @@ def _lin_positivity(helpers, prefix, whole):
     ]
 
 
-def _prefactor_positivity_checks():
+def _prefactor_atoms():
     """The monomial-type prefactors of the published coefficients (numerators
-    after clearing simplex-positive denominators)."""
+    after clearing simplex-positive denominators), as (check name,
+    polynomial) pairs."""
     x1, x2, x3 = _var(X1), _var(X2), _var(X3)
     atoms = {
         "x1": x1,
@@ -660,7 +716,7 @@ def _prefactor_positivity_checks():
         "x3-x1": x3 - x1,
         "x3-x2": x3 - x2,
     }
-    return [_positivity(f"prefactor atom {n}", e) for n, e in atoms.items()]
+    return [(f"prefactor atom {n}", e) for n, e in atoms.items()]
 
 
 def verify_n5_quadratic(differences) -> CertificateReport:
@@ -671,35 +727,36 @@ def verify_n5_quadratic(differences) -> CertificateReport:
 
     ``differences`` maps each abscissa triple to its symbolic_difference
     pair; the quadratic checks read the majoration, its first member."""
-    q = [_var(f"q{j}") for j in range(1, 4)]
-    p = [_var(f"p{j}") for j in range(1, 4)]
 
     def checks_at(x):
-        f1, f2, f3 = _split_l0_l1(differences[x][0])
-        f1_q = to_slope_variables(f1, x)
-        f3_q = to_slope_variables(f3, x)
-        table2 = cone_coefficients_d2(x)
-        ms = tuple(_cone_matrix(table2, k) for k in (1, 2, 3))
+        x = _point(x)
+        majoration = differences[x][0]
+        f1, f2, f3 = _split_l0_l1(majoration)
+        f1_q, _, f3_q = _split_l0_l1(to_slope_variables(majoration, x))
+        table = x.table
+        row1 = {key[1:]: c / x[0] for key, c in table.items() if key[0] == 1}
         checks = {
             "n5 quadratic: f1 display": f1 == f1_display(x),
             "n5 quadratic: f2 mirror rule":
-                f2 == mirror_poly(f1_display(mirror_x(x))),
+                f2 == f1_display(mirror_x(x), ("beta3", "beta2", "beta1")),
             "n5 quadratic: f3 display": f3 == f3_display(x),
             # f1 = q^T (4 (1-x3)(x3-x1) x1 / x3) N q = q^T (M^(1) / x1) q
             "n5 quadratic: f1 = q^T M q":
-                f1_q == _form(ms[0], q, q) / to_fraction(x[0]),
+                f1_q == _table_form(row1, ((1, Q_NAMES),)),
             "n5 quadratic: f3 = sum p_i q^T M^(i) q":
-                f3_q == sum(pi * _form(m, q, q) for pi, m in zip(p, ms)),
+                f3_q == _table_form(table, ((1, Q_NAMES),), P_NAMES),
         }
+        ms = tuple(_cone_matrix(table, k) for k in (1, 2, 3))
         for name, ok in _check_minor_factorizations(x, ms).items():
             checks[f"minor factorization: {name}"] = ok
         return checks
 
-    report = CertificateReport(_identity_checks(differences, checks_at))
-    report.positivity_checks.extend(
-        _lin_positivity(_MINOR_G, "minor ", "factor on the simplex")
+    return CertificateReport(
+        _identity_checks(differences, checks_at),
+        _positivity_checks(
+            _lin_positivity(_MINOR_G, "minor ", "factor on the simplex")
+        ),
     )
-    return report
 
 
 def _minor_endpoint_g():
@@ -739,10 +796,10 @@ _MINOR_G = _minor_endpoint_g()
 def _check_minor_factorizations(x, ms):
     """Compare each leading principal minor with its published factorized
     form at one numeric x point."""
-    xs = _xvals(x)
-    x1, x2, x3 = xs["x1"], xs["x2"], xs["x3"]
-    P = _lin_values(HELPERS, xs)
-    g = _lin_values(_MINOR_G, xs)
+    x = _point(x)
+    x1, x2, x3 = x
+    P = x.helper_values
+    g = _lin_values(_MINOR_G, x)
     # N and M1 are multiples s M^(1), whose k-th leading minors are s^k
     # times those of M^(1).
     s_n = x3 / (4 * x1**2 * (1 - x3) * (x3 - x1))

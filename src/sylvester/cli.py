@@ -278,12 +278,17 @@ def _cmd_closed_forms(args):
 
 
 def _cmd_verify(args):
-    if args.case == "n4":
-        report = certificates.verify_n4()
-    elif args.case == "n5":
-        report = certificates.verify_n5()
-    else:
-        report = certificates.verify_all()
+    try:
+        if args.case == "n4":
+            report = certificates.verify_n4()
+        elif args.case == "n5":
+            report = certificates.verify_n5()
+        else:
+            report = certificates.verify_all()
+    except ValueError as exc:
+        # verify reads no input, so a ValueError is an internal fault (an
+        # inconclusive identity check, an inexact division), not bad input.
+        raise certificates.StructureError(str(exc)) from exc
     doc = report.to_json()
     if args.output == "pretty":
         lines = []

@@ -90,8 +90,8 @@ def _make(variables, nums, den, reduce=True):
     """MultiPoly over ``nums / den`` (den > 0), brought to canonical form
     unless the caller passes one with ``reduce=False``."""
     if reduce:
-        for e in [e for e, c in nums.items() if not c]:
-            del nums[e]
+        if 0 in nums.values():
+            nums = {e: c for e, c in nums.items() if c}
         g = gcd(den, *nums.values()) if den != 1 else 1
         if g != 1:
             den //= g
@@ -227,10 +227,17 @@ class MultiPoly:
             other = MultiPoly.constant(other)
         g = gcd(self._den, other._den)
         scale_a, scale_b = other._den // g, sign * (self._den // g)
-        nums = {e: c * scale_a for e, c in self._nums.items()}
+        if scale_a == 1:
+            nums = dict(self._nums)
+        else:
+            nums = {e: c * scale_a for e, c in self._nums.items()}
         get = nums.get
-        for e, c in other._nums.items():
-            nums[e] = get(e, 0) + c * scale_b
+        if scale_b == 1:
+            for e, c in other._nums.items():
+                nums[e] = get(e, 0) + c
+        else:
+            for e, c in other._nums.items():
+                nums[e] = get(e, 0) + c * scale_b
         variables = _union(self.variables, other.variables)
         return _make(variables, nums, self._den * scale_a)
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -379,3 +380,106 @@ def test_compa_violation_witness_exists():
     lam, beta, value = found
     assert value < 0
     assert all(abs(b) <= l for b, l in zip(beta, lam))
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of the named certificates functions."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(certs, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(certs, name, counted)
+    return counts
+
+
+def test_verify_n5_builds_each_point_once_per_call(monkeypatch):
+    names = ("symbolic_difference", "to_slope_variables",
+             "cone_coefficients_d2", "positivity_check")
+    counts = count_calls(monkeypatch, names)
+    for _ in range(2):  # a second call recomputes: no cache outlives a call
+        for name in names:
+            counts[name] = 0
+        report = verify_n5()
+        assert report.summary
+        assert counts["symbolic_difference"] == 30
+        # one substitution per difference: the minoration and the majoration
+        assert counts["to_slope_variables"] == 60
+        # at each triple and at its mirror point
+        assert counts["cone_coefficients_d2"] <= 60
+        assert counts["positivity_check"] < len(report.positivity_checks)
+        gc.collect()
+        assert not any(isinstance(o, certs._Point) for o in gc.get_objects())
+
+
+def generic_form(m, u, w):
+    """The oracle: the bilinear form sum m_ij u_i w_j, term by term."""
+    return sum(ui * sum(mij * wj for mij, wj in zip(row, w))
+               for ui, row in zip(u, m))
+
+
+def generic_matrix(table, *k):
+    return [[4 * table[(*k, min(i, j), max(i, j))] for j in (1, 2, 3)]
+            for i in (1, 2, 3)]
+
+
+def random_table(rng, rows):
+    return {
+        (*row, i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for row in rows for i in (1, 2, 3) for j in range(i, 4)
+    }
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_forms_from_coefficients_match_generic_expansion(seed):
+    rng = random.Random(seed)
+    p = [v(name) for name in certs.P_NAMES]
+    q = [v(name) for name in certs.Q_NAMES]
+    s = [a + b for a, b in zip(p, q)]
+    t = [a - b for a, b in zip(p, q)]
+    # (i, j) keys: the l1 table, also with index-reversed symbols
+    table = random_table(rng, [()])
+    assert len(table) == 6
+    m = generic_matrix(table)
+    assert certs._cone_poly(table) == generic_form(m, s, t)
+    assert certs._cone_poly(
+        table, certs.P_NAMES[::-1], certs.Q_NAMES[::-1]
+    ) == generic_form(m, s[::-1], t[::-1])
+    assert certs._table_form(table, ((1, certs.Q_NAMES),)) == (
+        generic_form(m, q, q)
+    )
+    # (k, i, j) keys: the constant-part table
+    table = random_table(rng, [(1,), (2,), (3,)])
+    assert len(table) == 18
+    ms = [generic_matrix(table, k) for k in (1, 2, 3)]
+    assert certs._cone_poly(table) == sum(
+        pk * generic_form(mk, s, t) for pk, mk in zip(p, ms)
+    )
+    assert certs._table_form(
+        table, ((1, certs.Q_NAMES),), certs.P_NAMES
+    ) == sum(pk * generic_form(mk, q, q) for pk, mk in zip(p, ms))
+
+
+def list_scan_triples(count):
+    """The reference search: membership tested by scanning the list."""
+    out, k = [], 0
+    denoms = (7, 11, 13, 17, 19, 23)
+    while len(out) < count:
+        d = denoms[k % len(denoms)]
+        vals = sorted(random.Random(k).sample(range(1, d), 3))
+        triple = tuple(Fraction(val, d) for val in vals)
+        if triple not in out:
+            out.append(triple)
+        k += 1
+    return out
+
+
+def test_default_x_triples():
+    assert default_x_triples() == list_scan_triples(30)
+    assert default_x_triples(300) == list_scan_triples(300)
+    assert certs.MAX_X_TRIPLES == 3276  # C(d - 1, 3) summed over the d
+    with pytest.raises(ValueError, match="at most 3276"):
+        default_x_triples(3277)

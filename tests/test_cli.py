@@ -13,7 +13,7 @@ import pytest
 from referencing import Registry, Resource
 
 from sylvester import certificates, cli
-from sylvester.poly import MultiPoly
+from sylvester.poly import DegreeBoundError, MultiPoly
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -330,7 +330,7 @@ def test_verify_golden_matches_schema():
 
 def test_uncertified_positivity_fails_closed(capsys, monkeypatch):
     x1, x2 = MultiPoly.variable("x1"), MultiPoly.variable("x2")
-    check = certificates._positivity("t", x1 - x2)
+    [check] = certificates._positivity_checks([("t", x1 - x2)])
     assert check.to_json() == {
         "name": "t", "method": "monomial-certificate", "pass": False,
     }
@@ -391,6 +391,23 @@ def test_structure_error_exits_3(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [
         "certificate structure error: odd beta-degree term survived"
+    ]
+
+
+def test_internal_value_error_in_verify_exits_3(capsys, monkeypatch):
+    # verify reads no input, so an inconclusive identity check is an
+    # internal fault, not a precondition failure.
+    def inconclusive(lhs, rhs, degree_bounds):
+        raise DegreeBoundError("true degree in beta1 exceeds declared bound 4")
+
+    monkeypatch.setattr(certificates, "grid_identity_check", inconclusive)
+    code = cli.main(["verify", "--case", "n4"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CERTIFICATE
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "certificate structure error: "
+        "true degree in beta1 exceeds declared bound 4"
     ]
 
 
