@@ -418,16 +418,21 @@ def sample_points(body, count, rng) -> np.ndarray:
         mid = np.maximum(u, v, out=u)
         mid -= lo
         if len(a) == 1:
-            (ax, ay), (bx, by) = a[0], b[0]
+            legs = a[0], b[0]
         else:
             idx = np.searchsorted(cum, rng.random(count) * cum[-1],
                                   side="right")
             # A draw that rounds up to the total area belongs to the last.
             np.minimum(idx, len(cum) - 1, out=idx)
-            ax, ay, bx, by = a[idx, 0], a[idx, 1], b[idx, 0], b[idx, 1]
+            # 1-D take on contiguous columns gathers faster than a[idx, 0].
+            legs = [[col.take(idx) for col in leg.T.copy()] for leg in (a, b)]
         out = np.empty((count, 2))
-        out[:, 0] = v0[0] + lo * ax + mid * bx
-        out[:, 1] = v0[1] + lo * ay + mid * by
+        term = v  # v's buffer is free once lo and mid are formed
+        for i in range(2):
+            # (v0 + lo.a) + mid.b, the same operations in the same order.
+            coord = np.multiply(lo, legs[0][i], out=out[:, i])
+            coord += v0[i]
+            coord += np.multiply(mid, legs[1][i], out=term)
         return out
     names = ("radius", "center") if isinstance(body, Disk) else ("m", "t")
     m, t = (_finite_floats(v, f"{type(body).__name__.lower()} {name}")

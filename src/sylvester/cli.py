@@ -30,9 +30,21 @@ class UsageError(Exception):
     pass
 
 
+def _workers_default():
+    return os.environ.get("SYLVESTER_WORKERS") or "1"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # ``main`` reuses one parser, so the --workers default is read from
+        # the environment on every parse, not once when the parser is built.
+        for action in self._actions:
+            if action.dest == "workers":
+                action.default = _workers_default()
+        return super().parse_known_args(args, namespace)
 
 
 def _int_at_least(minimum):
@@ -76,7 +88,7 @@ def build_parser():
             # A string default goes through ``type`` too, so a bad
             # SYLVESTER_WORKERS is a usage error like a bad --workers.
             p.add_argument("--workers", type=_int_at_least(1),
-                           default=os.environ.get("SYLVESTER_WORKERS") or "1",
+                           default=_workers_default(),
                            help="worker streams, run on at most one thread "
                                 "per CPU (default: $SYLVESTER_WORKERS or 1)")
 
@@ -372,10 +384,23 @@ _PRECONDITION_ERRORS = (
 )
 
 
+#: The parser ``main`` reuses; built by its first call, not at import.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; return its exit code.
+
+    ``main`` may be called repeatedly in one process.  The first call
+    builds the parser and later calls reuse it; ``SYLVESTER_WORKERS`` is
+    still read on every call.  A one-shot CLI process builds it once, as
+    before.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

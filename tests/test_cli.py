@@ -542,6 +542,54 @@ def test_workers_env_default(monkeypatch, capsys):
         capsys.readouterr()
 
 
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return original()
+
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for argv in (["closed-forms"], ["comb", "--comb", COMB], ["nonsense"],
+                 ["estimate", "--samples", "10"], ["closed-forms"]):
+        cli.main(argv)
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_reused_parser_carries_no_state(monkeypatch, capsys):
+    monkeypatch.delenv("SYLVESTER_WORKERS", raising=False)
+    argv = ["estimate", "--body", "triangle", "--n", "5",
+            "--samples", "20", "--seed", "4"]
+    for earlier in (["comb", "--comb", COMB],
+                    ["estimate", "--rb", "--workers", "2", "--seed", "9",
+                     "--output", "pretty", "--samples", "5"]):
+        assert cli.main(earlier) == cli.EXIT_OK
+    capsys.readouterr()
+    code, reused = run(capsys, argv)
+    assert code == cli.EXIT_OK
+    doc = json.loads(reused)
+    assert doc["run_config"] == {
+        "body": "triangle", "command": "estimate", "n": 5, "output": "json",
+        "rb": False, "samples": 20, "seed": 4, "workers": 1,
+    }
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert run(capsys, argv) == (cli.EXIT_OK, reused)
+
+
+def test_usage_error_then_valid_call(capsys):
+    for bad in (["estimate", "--n", "2"], ["estimate", "--bogus"],
+                ["nonsense"], ["verify", "--case", "n6"]):
+        assert cli.main(bad) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert cli.main(["estimate", "--samples", "10"]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["run_config"]["n"] == 4
+
+
 def test_theorem1_small(capsys):
     code, doc = run_json(
         capsys, ["theorem1", "--samples", "4000", "--seed", "2"]
