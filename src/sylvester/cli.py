@@ -11,6 +11,7 @@ Exit codes: 0 success/pass, 1 usage error, 2 precondition failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -161,9 +162,23 @@ _NAMED_BODIES = {
 
 
 def _load_body(source):
+    """The body ``source`` names: a named body, a file path or inline body
+    JSON.
+
+    A named body is built once per process, and every later call returns
+    the same object; bodies are frozen dataclasses, so sharing one is safe.
+    Only a process that calls `main` repeatedly gains: a one-shot CLI
+    process builds the body once either way.  A file or inline JSON is
+    parsed on every call.
+    """
     if source in _NAMED_BODIES:
-        return bodies.body_from_json(_NAMED_BODIES[source])
+        return _named_body(source)
     return bodies.body_from_json(_load_doc(source))
+
+
+@functools.cache
+def _named_body(name):
+    return bodies.body_from_json(_NAMED_BODIES[name])
 
 
 def _rational_list(text, option):
@@ -393,8 +408,10 @@ def main(argv=None) -> int:
 
     ``main`` may be called repeatedly in one process.  The first call
     builds the parser and later calls reuse it; ``SYLVESTER_WORKERS`` is
-    still read on every call.  A one-shot CLI process builds it once, as
-    before.
+    still read on every call.  Each named body (``--body square`` ...) is
+    likewise built once and shared, which is safe because bodies are
+    immutable.  A one-shot CLI process builds each once either way, so it
+    gains nothing from the reuse.
     """
     global _PARSER
     if _PARSER is None:

@@ -12,7 +12,9 @@ family, beta = lam the shaken one.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -341,6 +343,17 @@ def clamped_family(family: NormalizedFamily):
     return family.with_beta(beta)
 
 
+#: `segment_probabilities`'s constants, kept free of numpy so that importing
+#: this module does not load it: the rounding allowance per unit of
+#: ordinate, CLAMP_TOLERANCE as a float, and the u0 and u1 columns of the
+#: four Gauss-Legendre nodes in units of the extreme half-widths.
+_ROUNDING_EPS = 64 * sys.float_info.epsilon
+_CLAMP_TOLERANCE = float(CLAMP_TOLERANCE)
+_GAUSS = 1 / math.sqrt(3)
+_GAUSS_U0 = ((-_GAUSS,), (-_GAUSS,), (_GAUSS,), (_GAUSS,))
+_GAUSS_U1 = ((-_GAUSS,), (_GAUSS,), (-_GAUSS,), (_GAUSS,))
+
+
 def segment_probabilities(x, bottom, top):
     """Float `family_probability` of the normalized family of each row.
 
@@ -353,6 +366,12 @@ def segment_probabilities(x, bottom, top):
     `convexity_integrand` has degree at most N <= 3 in each of u0 and u1,
     so the two-point Gauss-Legendre rule u = +-L/sqrt(3) in each averages
     it exactly; it is evaluated at those four nodes for every row at once.
+
+    The three inputs are transposed once, into (N + 2, S) arrays whose
+    rows are the segments of one position across the batch, so every later
+    step works on contiguous rows.  Each value is computed by the same
+    float operations as on the (S, N + 2) layout, so the result is the
+    same to the bit.
     """
     import numpy as np
 
@@ -360,46 +379,79 @@ def segment_probabilities(x, bottom, top):
         raise ValueError("the float family probability needs 3 to 5 segments")
     if not all(np.isfinite(v).all() for v in (x, bottom, top)):
         raise ValueError("segment bounds are not finite")
-    xbar = (x - x[:, :1]) / (x[:, -1:] - x[:, :1])
-    if not (xbar[:, 1:] > xbar[:, :-1]).all():
+    x, bottom, top = (np.ascontiguousarray(v.T) for v in (x, bottom, top))
+    xbar = (x - x[0]) / (x[-1] - x[0])
+    if not (xbar[1:] > xbar[:-1]).all():
         raise ValueError("segment abscissas must be strictly increasing")
-    half = (top - bottom) / 2
+    span = top - bottom
+    half = span / 2
     middle = (top + bottom) / 2
-    trapezoid = half[:, :1] + (half[:, -1:] - half[:, :1]) * xbar
-    chord = middle[:, :1] + (middle[:, -1:] - middle[:, :1]) * xbar
-    lam = half - trapezoid
-    beta = middle - chord
-    lam[:, [0, -1]] = beta[:, [0, -1]] = 0
+    trapezoid = half[0] + (half[-1] - half[0]) * xbar
+    chord = middle[0] + (middle[-1] - middle[0]) * xbar
+    _check_admissible(xbar, half - trapezoid, middle - chord,
+                      np.maximum(abs(top), abs(bottom)))
+    width = span[1:-1]
+    if (width <= 0).any():
+        raise ValueError("zero interior slice width")
+    # Node axis first: (4, S) node values broadcast against (S,) abscissas.
+    u0 = np.multiply(_GAUSS_U0, half[0])
+    du = np.multiply(_GAUSS_U1, half[-1]) - u0
+    up, down = [], []
+    for xj, t, b in zip(xbar[1:-1], top[1:-1] - chord[1:-1],
+                        chord[1:-1] - bottom[1:-1]):
+        uj = u0 + xj * du
+        up.append(t - uj)
+        down.append(b + uj)
+    total = _float_split_sum(len(up))(xbar[1:-1], up, down)
+    return total.mean(axis=0) / width.prod(axis=0)
 
-    gaps = np.diff(xbar, axis=1)
+
+def _check_admissible(xbar, lam, beta, ordinates):
+    """`segment_probabilities`' admissibility check, on (N + 2, S) rows of
+    the normalized abscissas, excesses, defects and largest |ordinates|."""
+    import numpy as np
+
+    lam[[0, -1]] = beta[[0, -1]] = 0
+    gaps = np.diff(xbar, axis=0)
 
     def slope_defects(values):
-        slopes = np.diff(values, axis=1) / gaps
-        return slopes[:, :-1] - slopes[:, 1:]
+        slopes = np.diff(values, axis=0) / gaps
+        return slopes[:-1] - slopes[1:]
 
     # Rounding moves each bound by a few eps times the row's largest
     # ordinate, and a slope by that over its gap: close abscissas can fake
     # a violation far above CLAMP_TOLERANCE, so that much more is allowed.
-    rounding = 64 * np.finfo(float).eps * np.maximum(
-        abs(top), abs(bottom)).max(axis=1, keepdims=True)
+    rounding = _ROUNDING_EPS * ordinates.max(axis=0)
     for what, excess, allowed in (
             ("defect exceeds excess", abs(beta) - lam, rounding),
             ("slope defect exceeds bound",
              abs(slope_defects(beta)) - slope_defects(lam),
-             rounding * (1 / gaps[:, :-1] + 1 / gaps[:, 1:]))):
-        if (excess - allowed > float(CLAMP_TOLERANCE)).any():
+             rounding * (1 / gaps[:-1] + 1 / gaps[1:]))):
+        if (excess - allowed > _CLAMP_TOLERANCE).any():
             raise CompaError(f"{what} by {excess.max()}")
-    width = (top - bottom)[:, 1:-1]
-    if (width <= 0).any():
-        raise ValueError("zero interior slice width")
-    # Node axis first: (4, S) node values broadcast against (S,) abscissas.
-    g = 1 / math.sqrt(3)
-    u0 = np.array([[-g], [-g], [g], [g]]) * half[:, 0]
-    u1 = np.array([[-g], [g], [-g], [g]]) * half[:, -1]
-    xs = list(xbar[:, 1:-1].T)
-    u = [u0 + xj * (u1 - u0) for xj in xs]
-    up = [t - uj for t, uj in zip((top - chord)[:, 1:-1].T, u)]
-    down = [b + uj for b, uj in zip((chord - bottom)[:, 1:-1].T, u)]
-    total = _split_sum(xs, up, down, lambda teeth, heights:
-                       _pivot_recurrence([0, *teeth, 1], heights))
-    return total.mean(axis=0) / width.prod(axis=1)
+
+
+@functools.cache
+def _float_split_sum(N):
+    """`_split_sum` with `_pivot_recurrence` combs over N interior slices,
+    as a function of (abscissa rows, up heights, down heights) float arrays.
+
+    The recurrence is traced once (`straightline.Trace`) and the trace is
+    replayed on the arrays: the same operations on the same operands in
+    the same order, so the result is the recurrence's to the bit.  But an
+    operation met again (a chord ratio shared by several masks and both
+    sides, or a sub-comb of two masks) is done once, multiplying by 1 or
+    subtracting 0 not at all, and each array is dropped after its last use
+    or overwritten by a result of its shape.  `straightline` is imported
+    here, not at the top: the exact commands, which import this module,
+    never load it.
+    """
+    from .straightline import Trace
+
+    trace = Trace()
+    xs = [trace.input(full=False) for _ in range(N)]
+    up = [trace.input(full=True) for _ in range(N)]
+    down = [trace.input(full=True) for _ in range(N)]
+    result = _split_sum(xs, up, down, lambda teeth, heights:
+                        _pivot_recurrence([0, *teeth, 1], heights))
+    return trace.compile(xs + up + down, result)

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
-from sylvester import certificates, cli
+from sylvester import bodies, certificates, cli
 from sylvester.poly import DegreeBoundError, MultiPoly
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -588,6 +588,21 @@ def test_usage_error_then_valid_call(capsys):
         assert cli.main(["estimate", "--samples", "10"]) == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["run_config"]["n"] == 4
+
+
+def test_named_bodies_are_built_once(capsys):
+    assert cli._load_body("square") is cli._load_body("square")
+    assert cli._load_body("disk") is cli._load_body("disk")
+    inline = '{"type": "disk", "center": ["0", "0"], "r": "1"}'
+    first, second = cli._load_body(inline), cli._load_body(inline)
+    assert first == second and first is not second
+    # Symmetrization and shaking build new bodies: the shared square stays
+    # equal to a freshly built one.
+    for op in ("sym", "sha"):
+        assert cli.main(["transform", "--op", op, "--body", "square"]) == 0
+    capsys.readouterr()
+    fresh = bodies.body_from_json(cli._NAMED_BODIES["square"])
+    assert cli._load_body("square") == fresh
 
 
 def test_theorem1_small(capsys):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import math
 import os
 import sys
@@ -33,9 +34,12 @@ from sylvester.montecarlo import (
     rb_conditional,
     rb_conditionals,
 )
+from sylvester.combs import _pivot_recurrence
 from sylvester.segments import (
     CompaError,
     VerticalSegment,
+    _float_split_sum,
+    _split_sum,
     segment_probabilities,
 )
 
@@ -297,6 +301,40 @@ def test_rb_conditionals_match_exact(body, n, seed):
     for row, value in zip(rows, values):
         exact = rb_conditional(body, [Fraction(float(v)) for v in row])
         assert abs(value - float(exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("body, n, seed, digest", [
+    (TRI, 5, 11,
+     "ea2ea6eccd59b8787da74624673094a6626c1baa957c1215ef3df107564c3b1e"),
+    (DISK, 5, 12,
+     "eb6e7f3269d98539d47cd53f69388276ae18a37cc78864b34ef86f10f6d76d39"),
+    (SQUARE, 4, 13,
+     "bbf3e2cb9d63a7d9ad953575d418f413d91a94dd48d8e244e32a8260bcd70f0f"),
+    (TRI, 3, 14,
+     "ba2c926241805f2343bcb07df0c2e29eeedd2059680dca8e2f5b74087accba55"),
+])
+def test_rb_conditionals_are_pinned_at_batch_scale(body, n, seed, digest):
+    # Digests of one full batch, recorded when the split sum ran the
+    # recurrence directly, mask by mask: the float kernel's output may not
+    # move by one bit.
+    rows = np.sort(draw(body, n, MASK_BLOCK, seed)[:, :, 0], axis=1)
+    values = rb_conditionals(body, rows)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_float_split_sum_replays_the_recurrence(N):
+    # The replayed trace against the recurrence it was traced from, run
+    # directly on the arrays: equal to the bit, inputs left as they were.
+    rng = np.random.default_rng(N)
+    xs = list(np.sort(rng.random((N, 64)), axis=0))
+    up = list(rng.random((N, 4, 64)) - 0.25)
+    down = list(rng.random((N, 4, 64)) - 0.25)
+    copies = [a.copy() for a in xs + up + down]
+    expected = _split_sum(xs, up, down, lambda teeth, heights:
+                          _pivot_recurrence([0, *teeth, 1], heights))
+    assert _float_split_sum(N)(xs, up, down).tobytes() == expected.tobytes()
+    assert all((a == b).all() for a, b in zip(xs + up + down, copies))
 
 
 def test_rb_conditionals_allow_rounding_of_far_bodies():
