@@ -137,6 +137,24 @@ def x_range(body):
     return t[0] - half, t[0] + half
 
 
+def _polygon_slice(vertices, x, maximum, minimum):
+    """(bottom, top) of a convex polygon's slice at x in its support: the
+    largest line of its edges that run right (counter-clockwise, the lower
+    chain) and the smallest of those that run left, folded by ``maximum``
+    and ``minimum``.  Each edge line supports its chain, so this is exact
+    on the support, and vertical edges are skipped."""
+    bottom = top = None
+    for (x0, y0), (x1, y1) in zip(vertices, [*vertices[1:], vertices[0]]):
+        if x0 == x1:
+            continue
+        line = y0 + (y1 - y0) / (x1 - x0) * (x - x0)
+        if x0 < x1:
+            bottom = line if bottom is None else maximum(bottom, line)
+        else:
+            top = line if top is None else minimum(top, line)
+    return bottom, top
+
+
 def y_bounds(body, x):
     """(bottom, top) ordinates of the vertical slice at abscissa x."""
     x = to_fraction(x)
@@ -144,18 +162,7 @@ def y_bounds(body, x):
         lo, hi = x_range(body)
         if x < lo or x > hi:
             raise ValueError(f"abscissa {x} outside the body support")
-        ys = []
-        verts = body.vertices
-        n = len(verts)
-        for i in range(n):
-            (x0, y0), (x1, y1) = verts[i], verts[(i + 1) % n]
-            if x0 == x1:
-                if x0 == x:
-                    ys.extend((y0, y1))
-                continue
-            if min(x0, x1) <= x <= max(x0, x1):
-                ys.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
-        return min(ys), max(ys)
+        return _polygon_slice(body.vertices, x, max, min)
     # The image under m of the chord a.w = d of the unit disk.
     m, t = _frame(body)
     (a0, a1), (b0, b1) = m
@@ -173,31 +180,19 @@ def slice_bounds(body, x):
     abscissas ``x``, an array of any shape inside the support: `y_bounds`
     over many abscissas at once.
 
-    A polygon's bottom is the largest, and its top the smallest, of its
-    edge lines, which equals `y_bounds` on the support since the polygon
-    is convex.  An ellipse slice is its chord, with n2 - d^2 clipped at 0,
-    so an abscissa rounded just past the support gets a zero-width slice.
+    A polygon slice is `y_bounds`' rule on the float vertices.  An
+    ellipse slice is its chord, with n2 - d^2 clipped at 0, so an abscissa
+    rounded just past the support gets a zero-width slice.  Raises
+    ValueError if an entry of the body has no finite float image.
     """
     import numpy as np
 
     if isinstance(body, Polygon):
-        verts = _finite_floats(body.vertices, "polygon vertex")
-        bottom = np.full(x.shape, -np.inf)
-        top = np.full(x.shape, np.inf)
-        for (x0, y0), (x1, y1) in zip(verts, np.roll(verts, -1, axis=0)):
-            if x0 == x1:
-                continue
-            line = y0 + (y1 - y0) / (x1 - x0) * (x - x0)
-            # Counter-clockwise: an edge running right is on the bottom.
-            if x0 < x1:
-                np.maximum(bottom, line, out=bottom)
-            else:
-                np.minimum(top, line, out=top)
-        return bottom, top
-    names = ("radius", "center") if isinstance(body, Disk) else ("m", "t")
-    ((a0, a1), (b0, b1)), (t0, t1) = (
-        _finite_floats(v, f"{type(body).__name__.lower()} {name}")
-        for v, name in zip(_frame(body), names))
+        return _polygon_slice(
+            _finite_floats(body.vertices, "polygon vertex"), x,
+            lambda a, b: np.maximum(a, b, out=a),
+            lambda a, b: np.minimum(a, b, out=a))
+    ((a0, a1), (b0, b1)), (t0, t1) = _float_frame(body)
     n2 = a0 * a0 + a1 * a1
     d = x - t0
     middle = t1 + d * ((a0 * b0 + a1 * b1) / n2)
@@ -358,9 +353,7 @@ def contains(body, point) -> bool:
         )
     import numpy as np
 
-    m, t = _frame(body)
-    m = np.array([[float(v) for v in row] for row in m])
-    t = np.array([float(v) for v in t])
+    m, t = _float_frame(body)
     w = np.linalg.solve(m, np.array([float(x), float(y)]) - t)
     return float(w @ w) <= 1 + 1e-12
 
@@ -380,6 +373,14 @@ def _finite_floats(values, what):
     if not np.isfinite(out).all():
         raise ValueError(f"{what} is not finite in floating point")
     return out
+
+
+def _float_frame(body):
+    """`_frame` of a curved body as float arrays (m, t); ValueError naming
+    the field if an entry has no finite float image."""
+    names = ("radius", "center") if isinstance(body, Disk) else ("m", "t")
+    return tuple(_finite_floats(v, f"{type(body).__name__.lower()} {name}")
+                 for v, name in zip(_frame(body), names))
 
 
 def _check_float_area(body, doubled):
@@ -434,9 +435,7 @@ def sample_points(body, count, rng) -> np.ndarray:
             coord += v0[i]
             coord += np.multiply(mid, legs[1][i], out=term)
         return out
-    names = ("radius", "center") if isinstance(body, Disk) else ("m", "t")
-    m, t = (_finite_floats(v, f"{type(body).__name__.lower()} {name}")
-            for v, name in zip(_frame(body), names))
+    m, t = _float_frame(body)
     with np.errstate(over="ignore", invalid="ignore"):
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     _check_float_area(body, 2 * np.pi * abs(det))

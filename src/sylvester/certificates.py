@@ -804,8 +804,8 @@ def _check_minor_factorizations(x, ms):
     # times those of M^(1).
     s_n = x3 / (4 * x1**2 * (1 - x3) * (x3 - x1))
     s_m1 = x3 / (4 * (1 - x3) ** 2)
-    n = {k: leading_minor(ms[0], k) * s_n**k for k in (1, 2, 3)}
-    m1 = {k: leading_minor(ms[0], k) * s_m1**k for k in (1, 2, 3)}
+    m0 = {k: leading_minor(ms[0], k) for k in (1, 2, 3)}
+    n, m1 = ({k: m0[k] * s**k for k in m0} for s in (s_n, s_m1))
     m2 = {k: leading_minor(ms[1], k) for k in (1, 2, 3)}
     out = {}
     out["N[1]"] = n[1] == 2 * (1 - x2) * x1

@@ -31,21 +31,9 @@ class UsageError(Exception):
     pass
 
 
-def _workers_default():
-    return os.environ.get("SYLVESTER_WORKERS") or "1"
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        # ``main`` reuses one parser, so the --workers default is read from
-        # the environment on every parse, not once when the parser is built.
-        for action in self._actions:
-            if action.dest == "workers":
-                action.default = _workers_default()
-        return super().parse_known_args(args, namespace)
 
 
 def _int_at_least(minimum):
@@ -63,6 +51,15 @@ def _int_at_least(minimum):
         return value
 
     return parse
+
+
+def _workers(text):
+    """--workers' type.  argparse passes its string default through it on
+    every parse, so a reused parser reads SYLVESTER_WORKERS afresh, and a
+    bad value there is a usage error like a bad --workers."""
+    if text == "$SYLVESTER_WORKERS":
+        text = os.environ.get("SYLVESTER_WORKERS") or "1"
+    return _int_at_least(1)(text)
 
 
 def build_parser():
@@ -86,10 +83,8 @@ def build_parser():
         if mc:
             p.add_argument("--seed", type=_int_at_least(0), default=0)
             p.add_argument("--samples", type=_int_at_least(1), default=10_000)
-            # A string default goes through ``type`` too, so a bad
-            # SYLVESTER_WORKERS is a usage error like a bad --workers.
-            p.add_argument("--workers", type=_int_at_least(1),
-                           default=_workers_default(),
+            p.add_argument("--workers", type=_workers,
+                           default="$SYLVESTER_WORKERS",
                            help="worker streams, run on at most one thread "
                                 "per CPU (default: $SYLVESTER_WORKERS or 1)")
 
@@ -203,7 +198,8 @@ def _emit(doc, args, rows=None):
     """Serialize a result document.
 
     For csv output, ``rows`` (list of flat dicts) is rendered as a CSV
-    table preceded by a run-config comment; pretty output is a readable
+    table preceded by a run-config comment, quoted by the csv module (None
+    is an empty cell, a list its JSON text); pretty output is a readable
     key: value rendering.  JSON is canonical: sorted keys, no whitespace
     variation.
     """
@@ -212,15 +208,19 @@ def _emit(doc, args, rows=None):
     if args.output == "json":
         return json.dumps(doc, sort_keys=True)
     if args.output == "csv":
-        if rows is None:
-            rows = [_flatten(doc)]
-        header = list(rows[0])
-        lines = ["# run_config: " + json.dumps(doc["run_config"],
-                                               sort_keys=True)]
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(str(row.get(h, "")) for h in header))
-        return "\n".join(lines)
+        # Imported here: the other outputs need neither module.
+        import csv
+        import io
+
+        rows = rows or [_flatten(doc)]
+        out = io.StringIO()
+        writer = csv.DictWriter(out, list(rows[0]), extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return ("# run_config: " + json.dumps(doc["run_config"],
+                                              sort_keys=True)
+                + "\n" + out.getvalue()[:-1])
     lines = []
     if "text" in doc:
         lines.append(doc["text"])
@@ -392,11 +392,7 @@ _HANDLERS = {
     "theorem1": _cmd_theorem1,
 }
 
-_PRECONDITION_ERRORS = (
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
+_PRECONDITION_ERRORS = (ValueError, OSError)
 
 
 #: The parser ``main`` reuses; built by its first call, not at import.

@@ -235,4 +235,4 @@ def comb_probability(comb: Comb) -> Fraction:
                 f"{format_rational(L[i])}) is below the chord of its "
                 "neighbours' tops; the comb probability needs the tops in "
                 "convex position")
-    return comb_poly(comb.x, comb.lengths) / math.prod(comb.lengths)
+    return _pivot_recurrence(X, comb.lengths) / math.prod(comb.lengths)

@@ -309,12 +309,14 @@ def rb_conditionals(body, rows):
     Each abscissa is first clamped to the support.  The result is within
     1e-12 of the exact conditional at the clamped abscissas; a row with a
     repeated abscissa raises ValueError, and a family outside the
-    admissible set by more than rounding raises CompaError.
+    admissible set by more than rounding raises CompaError.  ``rows`` is
+    transposed once, into `segment_probabilities`' (n, S) layout.
     """
     import numpy as np
 
     lo, hi = bodies.x_range(body)
-    x = np.clip(rows, float(lo), float(hi))
+    x = np.array(rows.T, order="C")  # a copy: clipped in place
+    np.clip(x, float(lo), float(hi), out=x)
     return segment_probabilities(x, *bodies.slice_bounds(body, x))
 
 

@@ -237,15 +237,26 @@ def convexity_integrand(xbar, l_plus, l_minus):
     N = len(xbar) - 2
     if len(l_plus) != N or len(l_minus) != N:
         raise ValueError("expected one slice part per interior abscissa")
-    u0 = MultiPoly.variable(U0, (U0, U1))
-    u1 = MultiPoly.variable(U1, (U0, U1))
     interior_x = xbar[1:-1]
-    # Ordinate of the chord from (0, u0) to (1, u1) at each interior abscissa.
-    u = [u0 + x * (u1 - u0) for x in interior_x]
-    # Slice parts measured from the chord, above it and below it.
-    up = [as_poly(lp) - uj for lp, uj in zip(l_plus, u)]
-    down = [as_poly(lm) + uj for lm, uj in zip(l_minus, u)]
+    up, down = _chord_parts(
+        interior_x, [as_poly(v) for v in l_plus],
+        [as_poly(v) for v in l_minus],
+        MultiPoly.variable(U0, (U0, U1)), MultiPoly.variable(U1, (U0, U1)))
     return _split_sum(interior_x, up, down, comb_poly)
+
+
+def _chord_parts(xs, l_plus, l_minus, u0, u1):
+    """(up, down) lists of the slice parts at the abscissas ``xs`` above and
+    below the chord from (0, u0) to (1, u1): l_plus - u and l_minus + u at
+    its ordinate u = u0 + x (u1 - u0).  The entries are exact polynomials
+    (`convexity_integrand`) or float arrays (`segment_probabilities`)."""
+    du = u1 - u0
+    up, down = [], []
+    for x, lp, lm in zip(xs, l_plus, l_minus):
+        u = u0 + x * du
+        up.append(lp - u)
+        down.append(lm + u)
+    return up, down
 
 
 def _split_sum(xs, up, down, comb):
@@ -355,31 +366,26 @@ _GAUSS_U1 = ((-_GAUSS,), (_GAUSS,), (-_GAUSS,), (_GAUSS,))
 
 
 def segment_probabilities(x, bottom, top):
-    """Float `family_probability` of the normalized family of each row.
+    """Float `family_probability` of the normalized family of each column.
 
-    ``x``, ``bottom`` and ``top`` are (S, N + 2) float arrays, 1 <= N <= 3:
-    row s is a family of vertical segments at strictly increasing
-    abscissas, as `normalize` takes it.  The admissibility check is
-    `clamped_family`'s without the clamp: a violation above
-    CLAMP_TOLERANCE, plus what rounding can make of the row, raises
-    CompaError, and a smaller one is evaluated as it is.  The split sum of
-    `convexity_integrand` has degree at most N <= 3 in each of u0 and u1,
-    so the two-point Gauss-Legendre rule u = +-L/sqrt(3) in each averages
-    it exactly; it is evaluated at those four nodes for every row at once.
-
-    The three inputs are transposed once, into (N + 2, S) arrays whose
-    rows are the segments of one position across the batch, so every later
-    step works on contiguous rows.  Each value is computed by the same
-    float operations as on the (S, N + 2) layout, so the result is the
-    same to the bit.
+    ``x``, ``bottom`` and ``top`` are (N + 2, S) float arrays, 1 <= N <= 3:
+    column s is a family of vertical segments at strictly increasing
+    abscissas, as `normalize` takes it, and row j holds the j-th segment
+    of every family, so each step works on contiguous rows.  The
+    admissibility check is `clamped_family`'s without the clamp: a
+    violation above CLAMP_TOLERANCE, plus what rounding can make of the
+    family, raises CompaError, and a smaller one is evaluated as it is.
+    The split sum of `convexity_integrand` has degree at most N <= 3 in
+    each of u0 and u1, so the two-point Gauss-Legendre rule u = +-L/sqrt(3)
+    in each averages it exactly; it is evaluated at those four nodes for
+    every family at once.
     """
     import numpy as np
 
-    if not 3 <= x.shape[1] <= 5:
+    if not 3 <= len(x) <= 5:
         raise ValueError("the float family probability needs 3 to 5 segments")
     if not all(np.isfinite(v).all() for v in (x, bottom, top)):
         raise ValueError("segment bounds are not finite")
-    x, bottom, top = (np.ascontiguousarray(v.T) for v in (x, bottom, top))
     xbar = (x - x[0]) / (x[-1] - x[0])
     if not (xbar[1:] > xbar[:-1]).all():
         raise ValueError("segment abscissas must be strictly increasing")
@@ -394,14 +400,9 @@ def segment_probabilities(x, bottom, top):
     if (width <= 0).any():
         raise ValueError("zero interior slice width")
     # Node axis first: (4, S) node values broadcast against (S,) abscissas.
-    u0 = np.multiply(_GAUSS_U0, half[0])
-    du = np.multiply(_GAUSS_U1, half[-1]) - u0
-    up, down = [], []
-    for xj, t, b in zip(xbar[1:-1], top[1:-1] - chord[1:-1],
-                        chord[1:-1] - bottom[1:-1]):
-        uj = u0 + xj * du
-        up.append(t - uj)
-        down.append(b + uj)
+    up, down = _chord_parts(
+        xbar[1:-1], top[1:-1] - chord[1:-1], chord[1:-1] - bottom[1:-1],
+        np.multiply(_GAUSS_U0, half[0]), np.multiply(_GAUSS_U1, half[-1]))
     total = _float_split_sum(len(up))(xbar[1:-1], up, down)
     return total.mean(axis=0) / width.prod(axis=0)
 

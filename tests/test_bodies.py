@@ -17,6 +17,7 @@ from sylvester.bodies import (
     inscribed_polygon,
     sample_points,
     shake,
+    slice_bounds,
     steiner_symmetrize,
     triangle,
     width,
@@ -50,6 +51,54 @@ def test_slicing_polygon():
     assert width(TRI, Fraction(1, 4)) == Fraction(3, 4)
     with pytest.raises(ValueError):
         y_bounds(TRI, 2)
+
+
+def scanned_y_bounds(polygon, x):
+    """A polygon slice by the earlier scan, kept as an oracle for
+    `y_bounds`: the ordinate at x of every edge whose abscissa range holds
+    x, and both ends of a vertical edge at x."""
+    ys = []
+    verts = polygon.vertices
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        if x0 == x1:
+            if x0 == x:
+                ys.extend((y0, y1))
+        elif min(x0, x1) <= x <= max(x0, x1):
+            ys.append(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+    return min(ys), max(ys)
+
+
+def test_polygon_slice_rule_matches_the_edge_scan(rng):
+    # Random hulls on a 1/32 grid often have vertical edges; these have
+    # them on both sides, on one side, and at a vertex that is not extreme.
+    vertical = [
+        SQUARE,
+        Polygon(((0, 0), (2, 1), (2, 3), (0, 2))),
+        Polygon(((0, 0), (2, 0), (2, 1), (1, 2), (0, 1))),
+        Polygon(((0, 0), (3, -1), (4, 1), (4, 2), (1, 3))),
+    ]
+    polygons = [TRI, PENTAGON, *vertical,
+                *(random_convex_polygon(rng) for _ in range(40))]
+    for poly in polygons:
+        lo, hi = x_range(poly)
+        xs = sorted({v[0] for v in poly.vertices}
+                    | {lo + (hi - lo) * Fraction(rng.randrange(10**6), 10**6)
+                       for _ in range(12)})
+        assert xs[0] == lo and xs[-1] == hi
+        exact = [y_bounds(poly, x) for x in xs]
+        assert exact == [scanned_y_bounds(poly, x) for x in xs]
+        bottom, top = slice_bounds(poly, np.array([float(x) for x in xs]))
+        assert np.abs(bottom - [float(b) for b, _ in exact]).max() <= 1e-12
+        assert np.abs(top - [float(t) for _, t in exact]).max() <= 1e-12
+
+
+def test_float_readers_name_a_field_without_float_image():
+    disk = Disk((0, 0), Fraction(10) ** 400)
+    for read in (lambda: contains(disk, (0, 0)),
+                 lambda: slice_bounds(disk, np.zeros(3)),
+                 lambda: sample_points(disk, 3, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="disk radius is not finite"):
+            read()
 
 
 def test_slicing_disk():

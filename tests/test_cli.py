@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import math
 import os
@@ -295,6 +296,31 @@ def test_closed_forms(capsys):
     assert code == 0
     assert out.startswith("# run_config:")
     assert "11/36" in out
+
+
+def test_csv_rows_parse_into_the_json_values(capsys):
+    # Lists, and so commas, in cells: ci95, vertices, terms, checks; None
+    # (theorem1's exact disk constant) is an empty cell.
+    for argv in (["estimate", "--samples", "100"],
+                 ["transform", "--op", "sym", "--body", "triangle"],
+                 ["kpoly", "--x", "1/3,2/3"],
+                 ["verify", "--case", "n4"],
+                 ["theorem1", "--samples", "200"]):
+        _, doc = run_json(capsys, argv)
+        _, out = run(capsys, argv + ["--output", "csv"])
+        header, *rows = csv.reader(out.splitlines()[1:])
+        expected = doc.get("rows", [doc])
+        assert len(rows) == len(expected)
+        for row, values in zip(rows, expected):
+            assert len(row) == len(header)
+            for name, cell in zip(header, row):
+                value = values
+                for key in name.split("."):
+                    value = value[key]
+                if isinstance(value, list):
+                    assert json.loads(cell) == value
+                else:
+                    assert cell == ("" if value is None else str(value))
 
 
 def test_verify_n4(capsys):

@@ -348,22 +348,32 @@ def test_rb_conditionals_allow_rounding_of_far_bodies():
                   - rb_conditionals(TRI, rows)).max() < 1e-9
 
 
+def test_rb_conditionals_leave_their_rows_unwritten():
+    # The abscissas are clipped to the support in place, in a copy: one
+    # row, or Fortran order, transposes to a contiguous view of the input.
+    for rows in (np.array([[-0.5, 0.2, 0.9, 1.5]]),
+                 np.asfortranarray([[-0.5, 0.2, 0.9, 1.5], [0, 0.1, 0.2, 1]])):
+        copy = rows.copy()
+        assert (rb_conditionals(SQUARE, rows) >= 0).all()
+        assert (rows == copy).all()
+
+
 def test_rb_conditionals_errors():
     with pytest.raises(ValueError, match="strictly increasing"):
         rb_conditionals(SQUARE, np.array([[0.1, 0.3, 0.3, 0.9]]))
-    x = np.array([[0.0, 0.5, 1.0]])
-    zero = np.zeros((1, 3))
+    x = np.array([[0.0, 0.5, 1.0]]).T
+    zero = np.zeros((3, 1))
     with pytest.raises(ValueError, match="zero interior slice width"):
         segment_probabilities(x, zero, zero)
     # Hand-made families 1e-6 outside the admissible set: a bottom above
     # the chord of its ends, and a top that is not concave.
     with pytest.raises(CompaError, match="defect exceeds excess"):
-        segment_probabilities(x, np.array([[0, 1e-6, 0]]),
-                              np.array([[0, 1.0, 0]]))
-    x = np.array([[0, 1 / 3, 2 / 3, 1]])
+        segment_probabilities(x, np.array([[0, 1e-6, 0]]).T,
+                              np.array([[0, 1.0, 0]]).T)
+    x = np.array([[0, 1 / 3, 2 / 3, 1]]).T
     with pytest.raises(CompaError, match="slope defect"):
-        segment_probabilities(x, np.zeros((1, 4)),
-                              np.array([[0, 1, 2 + 2e-6 / 3, 0]]))
+        segment_probabilities(x, np.zeros((4, 1)),
+                              np.array([[0, 1, 2 + 2e-6 / 3, 0]]).T)
     # No NaN or infinity on a long seeded draw.
     assert math.isfinite(estimate_Q_rb(TRI, 5, 200_000, seed=1).estimate)
 
