@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .poly import MultiPoly
+from .poly import MultiPoly, sum_of_products
 from .rationals import format_rational, read_field, to_fraction
 
 #: Largest m that `comb_poly_permutations` accepts (its cost is m!).
@@ -121,8 +121,9 @@ def _pivot_recurrence(X, heights):
 def _sub_comb(X, known, a, b, h):
     if b - a < 3:
         return h[a + 1] if b - a == 2 else 1
-    return sum(h[j] * _part(X, known, a, j, h) * _part(X, known, b, j, h)
-               for j in range(a + 1, b)) / (b - a - 1)
+    return sum_of_products(
+        ((h[j], _part(X, known, a, j, h), _part(X, known, b, j, h))
+         for j in range(a + 1, b)), b - a - 1)
 
 
 def _part(X, known, c, j, h):

@@ -9,6 +9,13 @@ int numerators over one positive int ``_den``, with gcd(_den, *_nums) == 1:
 canonical, so equality and hashing compare it directly.  ``variables`` only
 labels the polynomial, and ``terms`` is a read-only {exponent tuple over
 ``variables``: Fraction} view, so no output depends on the field layout.
+
+The exact kernel does each term's work once.  ``substitute`` groups the
+terms by their exponents in the replaced variables: a variable replaced by
+zero drops the terms it divides, and each distinct group multiplies one
+product of powers into the result.  ``sum_of_products`` adds each row's
+product straight into one numerator dict, so a long sum copies no partial
+sum.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
-from operator import or_
+from operator import mul, or_
 from threading import Lock
 
 from .rationals import format_rational, to_fraction
@@ -320,7 +327,14 @@ class MultiPoly:
         return Fraction(total, den)
 
     def substitute(self, mapping):
-        """Replace some variables, simultaneously, by rationals or polynomials."""
+        """Replace some variables, simultaneously, by rationals or polynomials.
+
+        The terms are grouped by their exponents in the replaced variables.
+        A variable replaced by zero drops every term it divides.  Each
+        distinct exponent key's product of powers is built once, from the
+        product of its prefix, and multiplied into the result once per
+        group; a zero exponent adds no product step, only a scalar.
+        """
         subs = [name for name in self.variables if name in mapping]
         if not subs:
             return self
@@ -328,28 +342,47 @@ class MultiPoly:
         rest = [name for name in self.variables if name not in mapping]
         out = tuple(dict.fromkeys(rest + [v for p in values for v in p.variables]))
         offsets = [_offset(name) for name in subs]
-        kept = ~sum(_FIELD << s for s in offsets)
+        fields = sum(_FIELD << s for s in offsets)
+        zero = sum(_FIELD << s for s, p in zip(offsets, values) if p.is_zero())
+        groups = {}
+        for e, c in self._nums.items():
+            if not e & zero:
+                key = e & fields
+                groups.setdefault(key, {})[e - key] = c
         # Over prod d_s^K_s, for values N_s / d_s raised to at most K_s, the
-        # power N_s^k / d_s^k has the integer numerator N_s^k * d_s^(K_s - k).
+        # power N_s^k / d_s^k has the integer numerator N_s^k * d_s^(K_s - k),
+        # which at k = 0 is the scalar d_s^K_s.
         den, powers = self._den, []
         for s, value in zip(offsets, values):
-            top = max((e >> s & _FIELD for e in self._nums), default=0)
+            if value.is_zero():
+                continue
+            top = max((key >> s & _FIELD for key in groups), default=0)
             den *= value._den**top
             table = [{0: 1}]
             for _ in range(top):
                 table.append(_checked(_mul_into({}, table[-1], value._nums)))
-            powers.append([{e: c * value._den ** (top - k) for e, c in t.items()}
-                           for k, t in enumerate(table)])
-        # Products of powers, each built from the product of its prefix.
+            powers.append((s, value._den**top, [
+                {e: c * value._den ** (top - k) for e, c in t.items()}
+                for k, t in enumerate(table)]))
         products, nums = {(): {0: 1}}, {}
-        for e, c in self._nums.items():
-            key = tuple(e >> s & _FIELD for s in offsets)
-            for j, k in enumerate(key):
-                if key[: j + 1] not in products:
-                    products[key[: j + 1]] = _checked(_mul_into(
-                        {}, products[key[:j]], powers[j][k]
-                    ))
-            _mul_into(nums, {e & kept: c}, products[key])
+        for key, group in groups.items():
+            exps, scale = (), 1
+            for s, whole, table in powers:
+                k = key >> s & _FIELD
+                prefix, exps = exps, exps + (k,)
+                if not k:
+                    scale *= whole
+                    products.setdefault(exps, products[prefix])
+                elif exps not in products:
+                    products[exps] = _checked(
+                        _mul_into({}, products[prefix], table[k]))
+            product = products[exps]
+            if scale != 1:
+                if len(group) <= len(product):
+                    group = {e: c * scale for e, c in group.items()}
+                else:
+                    product = {e: c * scale for e, c in product.items()}
+            _mul_into(nums, group, product)
         return _make(out, _checked(nums), den)
 
     def coefficient_poly(self, var, power):
@@ -411,6 +444,54 @@ def as_poly(value) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value
     return MultiPoly.constant(value)
+
+
+def sum_of_products(rows, divisor=1):
+    """sum(a * b * ... for (a, b, ...) in rows) / divisor, where a divisor
+    of 1 divides nothing.
+
+    Factors are MultiPoly, int or Fraction values, or any other number type
+    (floats, numpy arrays, traced values) with ``divisor`` a positive int.
+    Without a MultiPoly factor the rows are consumed one at a time, in that
+    order of operations, so other number types see exactly that program.
+    From the first row with a MultiPoly factor on, each row's factors but
+    the last are multiplied with ``*``, and the product times the last is
+    added straight into one numerator dict over the lcm of the rows'
+    denominators: no partial sum is copied or rescaled.
+    """
+    total, rows = 0, iter(rows)
+    for row in rows:
+        if any(isinstance(f, MultiPoly) for f in row):
+            return _poly_sum_of_products([(total,), row, *rows], divisor)
+        total = total + reduce(mul, row)
+    return total if divisor == 1 else total / divisor
+
+
+def _poly_sum_of_products(rows, divisor):
+    forms, variables = [], ()
+    for *head, last in rows:
+        a, da, av = _form(reduce(mul, head) if head else 1)
+        b, db, bv = _form(last)
+        variables = _union(variables, _union(av, bv))
+        forms.append((a, b, da * db))
+    den = lcm(*(d for *_, d in forms))
+    nums = {}
+    for a, b, d in forms:
+        scale = den // d
+        if scale != 1:
+            if len(a) > len(b):
+                a, b = b, a
+            a = {e: c * scale for e, c in a.items()}
+        _mul_into(nums, a, b)
+    return _make(variables, _checked(nums), den * divisor)
+
+
+def _form(value):
+    """(numerator dict, denominator, variables) of a MultiPoly or scalar."""
+    if isinstance(value, MultiPoly):
+        return value._nums, value._den, value.variables
+    num, den = _ratio(value)
+    return {0: num}, den, ()
 
 
 def grid_identity_check(lhs: MultiPoly, rhs: MultiPoly, degree_bounds) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combs import _pivot_recurrence, comb_poly
-from .poly import MultiPoly, as_poly
+from .poly import MultiPoly, as_poly, sum_of_products
 from .rationals import format_rational, read_field, to_fraction
 
 U0, U1 = "u0", "u1"
@@ -264,14 +264,14 @@ def _split_sum(xs, up, down, comb):
     of comb(above parts) * comb(below parts), for a comb function ``comb``
     of (abscissas, tooth lengths) over any number type."""
     N = len(xs)
-    total = 0
-    for mask in range(1 << N):
+
+    def row(mask):
         above = [j for j in range(N) if mask >> j & 1]
         below = [j for j in range(N) if not mask >> j & 1]
-        total = total + (
-            comb([xs[j] for j in above], [up[j] for j in above])
-            * comb([xs[j] for j in below], [down[j] for j in below]))
-    return total
+        return (comb([xs[j] for j in above], [up[j] for j in above]),
+                comb([xs[j] for j in below], [down[j] for j in below]))
+
+    return sum_of_products(map(row, range(1 << N)))
 
 
 def symmetrized_integrand(xbar, l_plus, l_minus):
@@ -386,9 +386,11 @@ def segment_probabilities(x, bottom, top):
         raise ValueError("the float family probability needs 3 to 5 segments")
     if not all(np.isfinite(v).all() for v in (x, bottom, top)):
         raise ValueError("segment bounds are not finite")
+    # Ties are checked before and after normalizing: a tie of the ends would
+    # divide 0 by 0, and normalizing can round two close abscissas together.
+    _check_increasing(x, x)
     xbar = (x - x[0]) / (x[-1] - x[0])
-    if not (xbar[1:] > xbar[:-1]).all():
-        raise ValueError("segment abscissas must be strictly increasing")
+    _check_increasing(x, xbar)
     span = top - bottom
     half = span / 2
     middle = (top + bottom) / 2
@@ -405,6 +407,19 @@ def segment_probabilities(x, bottom, top):
         np.multiply(_GAUSS_U0, half[0]), np.multiply(_GAUSS_U1, half[-1]))
     total = _float_split_sum(len(up))(xbar[1:-1], up, down)
     return total.mean(axis=0) / width.prod(axis=0)
+
+
+def _check_increasing(x, rows):
+    """Raise ValueError, naming the float resolution at the largest
+    abscissa ``x``, unless ``rows`` strictly increase down each column."""
+    if not (rows[1:] > rows[:-1]).all():
+        import numpy as np
+
+        at = abs(x).max()
+        raise ValueError(
+            f"segment abscissas must be strictly increasing; float64 resolves "
+            f"steps of {np.spacing(at):.3g} at x = {at:.6g}, so sampled "
+            "abscissas there can tie")
 
 
 def _check_admissible(xbar, lam, beta, ordinates):

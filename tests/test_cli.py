@@ -535,6 +535,43 @@ def test_float_commands_golden_in_fresh_interpreter(name, argv):
     assert proc.stdout == (DATA_DIR / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("body, samples, at", [
+    ('{"type":"disk","center":["1e300","0"],"r":"1"}', 50, "1e+300"),
+    ('{"type":"polygon","vertices":[["1e12","1e12"],["1000000000001","1e12"],'
+     '["1e12","1000000000001"]]}', 2000, "1e+12"),
+], ids=["disk-at-1e300", "triangle-at-1e12"])
+def test_estimate_rb_names_float_resolution_of_tied_abscissas(body, samples,
+                                                                at):
+    # Far from the origin float64 abscissas tie; the run stops with one
+    # line naming the resolution there, and numpy warns of nothing.
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sylvester.cli", "estimate", "--rb", "--n",
+         "5", "--samples", str(samples), "--seed", "1", "--body", body],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_PRECONDITION
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: segment abscissas must be strictly "
+                           "increasing; float64 resolves steps of ")
+    assert f"at x = {at}" in line
+
+
+def test_ci_workflow_runs_the_tier1_command():
+    yaml = pytest.importorskip("yaml")
+    root = SRC_DIR.parent
+    workflow = yaml.safe_load(
+        (root / ".github" / "workflows" / "tier1.yml").read_text())
+    runs = [step.get("run") for job in workflow["jobs"].values()
+            for step in job["steps"]]
+    command = next(line.split("`")[1] for line in
+                   (root / "ROADMAP.md").read_text().splitlines()
+                   if line.startswith("**Tier-1 verify:**"))
+    assert 'pip install -e ".[test]"' in runs
+    assert runs[-1] == command
+
+
 def test_no_assert_statements_in_package():
     # Checks must still run under python -O, which strips assert statements.
     found = [

@@ -5,8 +5,10 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -18,8 +20,10 @@ from sylvester.poly import (
     DegreeBoundError,
     MissingVariableError,
     MultiPoly,
+    as_poly,
     divide_exact,
     grid_identity_check,
+    sum_of_products,
 )
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -201,6 +205,108 @@ def test_substitute_matches_evaluation(p, q, r, point, c):
             == p.evaluate({**point, "z": c}))
 
 
+def expansion_oracle(p, mapping):
+    """``p.substitute(mapping)`` term by term, with ring operations only."""
+    total = MultiPoly.constant(0)
+    for exps, coeff in p.terms.items():
+        term = MultiPoly.constant(coeff)
+        for name, e in zip(p.variables, exps):
+            base = as_poly(mapping[name]) if name in mapping else v(name)
+            term = term * base**e
+        total = total + term
+    return total
+
+
+#: Substituted values: rationals, the int and the polynomial zero,
+#: constants, and polynomials in any of NAMES, kept ones included.
+values = st.one_of(rationals, st.just(0),
+                   st.just(MultiPoly.constant(0, ("y",))),
+                   rationals.map(MultiPoly.constant), polys())
+
+
+@PROPERTY
+@given(polys(), st.dictionaries(st.sampled_from(NAMES), values, max_size=3),
+       points)
+def test_substitute_matches_expansion_and_evaluation(p, mapping, point):
+    result = p.substitute(mapping)
+    assert result == expansion_oracle(p, mapping)
+    assert canonical(result)
+    inner = {**point, **{name: as_poly(value).evaluate(point)
+                         for name, value in mapping.items()}}
+    assert result.evaluate(point) == p.evaluate(inner)
+
+
+@PROPERTY
+@given(polys(), st.permutations(NAMES), points)
+def test_substitute_permuting_variables_is_simultaneous(p, order, point):
+    # {x: y, y: x} and three-cycles: every value is read before any is set.
+    mapping = {name: v(other) for name, other in zip(NAMES, order)}
+    result = p.substitute(mapping)
+    assert result == expansion_oracle(p, mapping)
+    moved = {name: point[other] for name, other in zip(NAMES, order)}
+    assert result.evaluate(point) == p.evaluate(moved)
+    back = {other: v(name) for name, other in zip(NAMES, order)}
+    assert result.substitute(back) == p
+
+
+@PROPERTY
+@given(st.integers(1, MAX_EXPONENT), st.integers(0, MAX_EXPONENT),
+       st.integers(1, 3), nonzero)
+def test_substitute_raises_past_max_exponent(a, b, k, c):
+    # x^a y^b at x := c y^k has degree a k + b in y; the term with x^0 is
+    # kept as it is.
+    x, y = v("x"), v("y")
+    p = c * x**a * y**b + y
+    mapping = {"x": c * y**k}
+    if a * k + b > MAX_EXPONENT:
+        with pytest.raises(OverflowError):
+            p.substitute(mapping)
+    else:
+        assert p.substitute(mapping) == c ** (a + 1) * y ** (a * k + b) + y
+    # A variable replaced by zero drops its terms before any power forms.
+    assert p.substitute({"x": 0}) == y
+
+
+#: Factors of `sum_of_products` rows: polynomials, Fractions with distinct
+#: denominators, and ints.
+factors = st.one_of(polys(), st.fractions(-3, 3, max_denominator=30),
+                    st.integers(-3, 3))
+
+
+@PROPERTY
+@given(st.lists(st.lists(factors, min_size=1, max_size=3), max_size=5),
+       st.integers(1, 4))
+def test_sum_of_products_matches_plain_sum(rows, divisor):
+    expected = sum(reduce(mul, row) for row in rows)
+    if divisor != 1:
+        expected /= divisor
+    result = sum_of_products(rows, divisor)
+    assert type(result) is type(expected) and result == expected
+    if isinstance(result, MultiPoly):
+        # Same labels as the chained operators, so the same output.
+        assert result.variables == expected.variables
+        assert canonical(result)
+    # A generator of rows is read once, in order.
+    assert sum_of_products(iter(rows), divisor) == expected
+
+
+def test_sum_of_products_edge_cases():
+    assert sum_of_products([]) == 0 and type(sum_of_products([])) is int
+    rows = [(Fraction(1, 2), 3), (2,), (Fraction(2, 3), Fraction(3, 5), 5)]
+    assert sum_of_products(rows, 3) == Fraction(11, 6)
+    # Floats see sum(a * b * ...) / divisor in that order, to the bit.
+    floats = [(0.1, 0.7, 3.0), (1e-17,), (0.3, 0.2)]
+    assert (sum_of_products(floats, 3).hex()
+            == (sum(reduce(mul, row) for row in floats) / 3).hex())
+    # A polynomial in a later row takes in the scalar rows before it.
+    mixed = sum_of_products([(Fraction(1, 2),), (v("x"), 2)])
+    assert mixed == 2 * v("x") + Fraction(1, 2)
+    # The last factor is accumulated in place, still under the guard bits.
+    half = v("x") ** 64
+    with pytest.raises(OverflowError):
+        sum_of_products([(v("y"),), (half, half)])
+
+
 @PROPERTY
 @given(polys(), points, st.sampled_from(NAMES))
 def test_coefficient_poly_reassembles(p, point, var):
@@ -223,6 +329,7 @@ def test_divide_exact_inverts_multiplication(p, q):
 def test_results_are_canonical(p, q, c):
     results = [p + q, p - q, p * q, p / c, c - p, p**2,
                p.integrate_box("x", 0, c), p.substitute({"y": q}),
+               sum_of_products([(p, q), (c, q, p), (q,)], 3),
                p.coefficient_poly("z", 1), p.even_part(("x", "y"))]
     assert all(canonical(r) for r in results)
     # cancellation leaves no zero term behind

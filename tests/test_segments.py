@@ -18,6 +18,7 @@ from sylvester.segments import (
     slope_profile,
     symmetrized_integrand,
 )
+from sylvester.combs import comb_poly, comb_poly_triangulations
 from sylvester.poly import MultiPoly
 
 XBAR3 = (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1))
@@ -170,6 +171,51 @@ def test_symmetrized_integrand_is_four_sign_sum(x):
     sym = symmetrized_integrand(xbar, l_plus, l_minus)
     assert not sym.is_zero()
     assert sym == four_sign_reference(xbar, l_plus, l_minus)
+
+
+def split_sum_oracle(xbar, l_plus, l_minus, comb):
+    """`convexity_integrand` mask by mask, written out: the chord ordinate
+    u = u0 + x (u1 - u0), then total = total + comb(above) * comb(below)."""
+    u0 = MultiPoly.variable("u0", ("u0", "u1"))
+    u1 = MultiPoly.variable("u1", ("u0", "u1"))
+    xs = xbar[1:-1]
+    N = len(xs)
+    up = [lp - (u0 + x * (u1 - u0)) for x, lp in zip(xs, l_plus)]
+    down = [lm + (u0 + x * (u1 - u0)) for x, lm in zip(xs, l_minus)]
+    total = MultiPoly.constant(0)
+    for mask in range(1 << N):
+        above = [j for j in range(N) if mask >> j & 1]
+        below = [j for j in range(N) if not mask >> j & 1]
+        total = total + (comb([xs[j] for j in above], [up[j] for j in above])
+                         * comb([xs[j] for j in below],
+                                [down[j] for j in below]))
+    return total
+
+
+def triangulation_comb(x, lengths):
+    # The triangulation route of K, with zero heights at both ends.
+    return comb_poly_triangulations([0, *x, 1], [0, *lengths, 0])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_convexity_integrand_matches_mask_by_mask_oracle(N):
+    rnd = random.Random(100 + N)
+    names = ("a", "b", "c")
+    for _ in range(3):
+        inner = sorted(rnd.sample(range(1, 60), N))
+        xbar = [Fraction(0), *(Fraction(k, 60) for k in inner), Fraction(1)]
+
+        def height():
+            # A random affine polynomial in a, b, c with rational coefficients.
+            return MultiPoly.constant(Fraction(rnd.randint(-5, 9), 4)) + sum(
+                Fraction(rnd.randint(-4, 4), rnd.randint(1, 7))
+                * MultiPoly.variable(name) for name in names)
+
+        l_plus = [height() for _ in range(N)]
+        l_minus = [height() for _ in range(N)]
+        g = convexity_integrand(xbar, l_plus, l_minus)
+        assert g == split_sum_oracle(xbar, l_plus, l_minus, comb_poly)
+        assert g == split_sum_oracle(xbar, l_plus, l_minus, triangulation_comb)
 
 
 #: Normalized abscissa grids 0 = xbar_0 < ... < xbar_{N+1} = 1, N <= 4.
