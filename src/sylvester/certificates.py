@@ -167,10 +167,11 @@ def _check_structure(diff, N, kind):
     if diff.total_degree() > N + 2:
         raise StructureError("degree cap exceeded")
     beta_names = [f"beta{j}" for j in range(1, N + 1)]
+    variables = diff.variables
     for exps in diff.terms:
         beta_deg = sum(
             e
-            for name, e in zip(diff.variables, exps)
+            for name, e in zip(variables, exps)
             if name in beta_names
         )
         if beta_deg % 2:
@@ -746,7 +747,7 @@ def verify_n5_quadratic(differences) -> CertificateReport:
             "n5 quadratic: f3 = sum p_i q^T M^(i) q":
                 f3_q == _table_form(table, ((1, Q_NAMES),), P_NAMES),
         }
-        ms = tuple(_cone_matrix(table, k) for k in (1, 2, 3))
+        ms = tuple(_cone_matrix(table, k) for k in (1, 2))
         for name, ok in _check_minor_factorizations(x, ms).items():
             checks[f"minor factorization: {name}"] = ok
         return checks
@@ -795,7 +796,7 @@ _MINOR_G = _minor_endpoint_g()
 
 def _check_minor_factorizations(x, ms):
     """Compare each leading principal minor with its published factorized
-    form at one numeric x point."""
+    form at one numeric x point; ``ms`` holds M^(1) and M^(2)."""
     x = _point(x)
     x1, x2, x3 = x
     P = x.helper_values

@@ -434,7 +434,13 @@ def main(argv=None) -> int:
     else:
         doc, code = outcome
         rows = None
-    print(_emit(doc, args, rows))
+    try:
+        print(_emit(doc, args, rows), flush=True)
+    except BrokenPipeError:
+        # The reader is gone; send what is left, and the exit flush, nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

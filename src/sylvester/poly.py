@@ -6,9 +6,11 @@ addition and any two polynomials' keys compare as they are.  The top bit of
 each field is a guard, so an exponent above ``MAX_EXPONENT`` raises
 ``OverflowError`` instead of carrying.  ``_nums`` maps monomials to nonzero
 int numerators over one positive int ``_den``, with gcd(_den, *_nums) == 1:
-canonical, so equality and hashing compare it directly.  ``variables`` only
-labels the polynomial, and ``terms`` is a read-only {exponent tuple over
-``variables``: Fraction} view, so no output depends on the field layout.
+canonical, so equality and hashing compare it directly.  A label is for
+display only: ``variables`` is the one the constructor or ``with_variables``
+set on that object, else the sorted names in use, as arithmetic results
+carry none.  ``terms`` is a read-only {exponent tuple over ``variables``:
+Fraction} view, so no output depends on the field layout or operand order.
 
 The exact kernel does each term's work once.  ``substitute`` groups the
 terms by their exponents in the replaced variables: a variable replaced by
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm, prod
 from operator import mul, or_
 from threading import Lock
@@ -33,6 +35,7 @@ _WIDTH = 8
 MAX_EXPONENT = (1 << _WIDTH - 1) - 1
 _FIELD = (1 << _WIDTH) - 1
 _OFFSETS = {}  # variable name -> bit offset of its field
+_NAMES = []  # the names in _OFFSETS by field; append-only, under _LOCK
 _GUARD = 0  # the guard bits of all fields in _OFFSETS
 _LOCK = Lock()
 
@@ -54,7 +57,8 @@ def _offset(name):
     global _GUARD
     with _LOCK:
         if name not in _OFFSETS:
-            _OFFSETS[name] = len(_OFFSETS) * _WIDTH
+            _OFFSETS[name] = len(_NAMES) * _WIDTH
+            _NAMES.append(name)
             _GUARD |= 1 << _OFFSETS[name] + _WIDTH - 1
         return _OFFSETS[name]
 
@@ -93,9 +97,9 @@ def _mul_into(out, a, b):
     return out
 
 
-def _make(variables, nums, den, reduce=True):
-    """MultiPoly over ``nums / den`` (den > 0), brought to canonical form
-    unless the caller passes one with ``reduce=False``."""
+def _make(nums, den, reduce=True):
+    """Unlabelled MultiPoly over ``nums / den`` (den > 0), brought to
+    canonical form unless the caller passes one with ``reduce=False``."""
     if reduce:
         if 0 in nums.values():
             nums = {e: c for e, c in nums.items() if c}
@@ -104,22 +108,11 @@ def _make(variables, nums, den, reduce=True):
             den //= g
             nums = {e: c // g for e, c in nums.items()}
     p = object.__new__(MultiPoly)
-    p.variables = variables
+    p._labels = None
     p._nums = nums
     p._den = den
     p._hash = None
     return p
-
-
-def _union(av, bv):
-    """Result variables: an operand's covering the other's, else both's."""
-    if av == bv:
-        return av
-    if set(av) <= set(bv):
-        return bv
-    if set(bv) <= set(av):
-        return av
-    return tuple(dict.fromkeys(av + bv))
 
 
 class _TermsView(Mapping):
@@ -127,7 +120,10 @@ class _TermsView(Mapping):
 
     def __init__(self, poly):
         self._poly = poly
-        self._offsets = [_offset(name) for name in poly.variables]
+
+    @cached_property
+    def _offsets(self):
+        return [_offset(name) for name in self._poly.variables]
 
     def __getitem__(self, exps):
         try:
@@ -145,12 +141,13 @@ class _TermsView(Mapping):
 
 
 class MultiPoly:
-    __slots__ = ("variables", "_nums", "_den", "_hash")
+    __slots__ = ("_labels", "_nums", "_den", "_hash")
 
     def __init__(self, variables, terms):
-        """``terms`` maps exponent tuples to rationals; zeros are dropped."""
-        self.variables = tuple(variables)
-        offsets = [_offset(name) for name in self.variables]
+        """``terms`` maps exponent tuples over the label ``variables`` to
+        rationals; zeros are dropped."""
+        self._labels = tuple(variables)
+        offsets = [_offset(name) for name in self._labels]
         coeffs = {_pack(offsets, e): to_fraction(c) for e, c in terms.items()}
         # Over the lcm of reduced denominators the form is already canonical.
         den = lcm(*(c.denominator for c in coeffs.values()))
@@ -168,18 +165,20 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, variables=()):
+    def constant(cls, value):
         num, den = _ratio(value)
-        return _make(tuple(variables), {0: num}, den)
+        return _make({0: num}, den)
 
     @classmethod
-    def variable(cls, name, variables=None):
-        variables = (name,) if variables is None else tuple(variables)
-        if name not in variables:
-            raise ValueError(f"{name!r} is not one of the variables")
-        return _make(variables, {1 << _offset(name): 1}, 1, reduce=False)
+    def variable(cls, name):
+        return _make({1 << _offset(name): 1}, 1, reduce=False)
 
     # -- basic queries -----------------------------------------------------
+
+    @property
+    def variables(self):
+        """The label, else the sorted names of the variables in use."""
+        return self._labels or tuple(sorted(self.used_variables()))
 
     @property
     def terms(self):
@@ -198,9 +197,9 @@ class MultiPoly:
 
     def degree(self, var) -> int:
         """Degree in one variable; -1 kept at 0 for the zero polynomial."""
-        if var not in self.variables:
+        s = _OFFSETS.get(var)
+        if s is None:
             return 0
-        s = _offset(var)
         return max((e >> s & _FIELD for e in self._nums), default=0)
 
     def total_degree(self) -> int:
@@ -208,13 +207,14 @@ class MultiPoly:
 
     def used_variables(self):
         present = reduce(or_, self._nums, 0)
-        return {v for v in self.variables if present >> _offset(v) & _FIELD}
+        fields = range(0, present.bit_length(), _WIDTH)
+        return {name for s, name in zip(fields, _NAMES) if present >> s & _FIELD}
 
     def even_part(self, names):
         """The terms of even degree in every named variable."""
-        odd = sum(1 << _offset(v) for v in set(names) if v in self.variables)
+        odd = sum(1 << _OFFSETS[v] for v in set(names) if v in _OFFSETS)
         nums = {e: c for e, c in self._nums.items() if not e & odd}
-        return _make(self.variables, nums, self._den)
+        return _make(nums, self._den)
 
     # -- variable labels ---------------------------------------------------
 
@@ -224,7 +224,9 @@ class MultiPoly:
         missing = self.used_variables() - set(variables)
         if missing:
             raise ValueError(f"cannot drop used variables {sorted(missing)}")
-        return _make(variables, self._nums, self._den, reduce=False)
+        p = _make(self._nums, self._den, reduce=False)
+        p._labels = variables
+        return p
 
     # -- arithmetic --------------------------------------------------------
 
@@ -245,8 +247,7 @@ class MultiPoly:
         else:
             for e, c in other._nums.items():
                 nums[e] = get(e, 0) + c * scale_b
-        variables = _union(self.variables, other.variables)
-        return _make(variables, nums, self._den * scale_a)
+        return _make(nums, self._den * scale_a)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -255,7 +256,7 @@ class MultiPoly:
 
     def __neg__(self):
         nums = {e: -c for e, c in self._nums.items()}
-        return _make(self.variables, nums, self._den, reduce=False)
+        return _make(nums, self._den, reduce=False)
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -267,10 +268,9 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             num, den = _ratio(other)
             nums = {e: c * num for e, c in self._nums.items()}
-            return _make(self.variables, nums, self._den * den)
+            return _make(nums, self._den * den)
         nums = _checked(_mul_into({}, self._nums, other._nums))
-        variables = _union(self.variables, other.variables)
-        return _make(variables, nums, self._den * other._den)
+        return _make(nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -285,7 +285,7 @@ class MultiPoly:
         if n < 0:
             raise ValueError("negative power")
         # One factor at a time, so that no power above the n-th is formed.
-        return prod([self] * n, start=MultiPoly.constant(1, self.variables))
+        return prod([self] * n, start=MultiPoly.constant(1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -304,21 +304,19 @@ class MultiPoly:
     # -- evaluation and substitution ---------------------------------------
 
     def evaluate(self, assignment) -> Fraction:
-        """Exact value at a point covering every variable of the polynomial."""
-        if not all(v in assignment for v in self.variables):
-            missing = self.used_variables() - set(assignment)
-            if missing:
-                raise MissingVariableError(missing)
+        """Exact value at a point covering every variable the polynomial uses."""
+        used = self.used_variables()
+        if not used.issubset(assignment):
+            raise MissingVariableError(used.difference(assignment))
         # Over the common denominator prod q_i^d_i of the point p_i / q_i,
         # where d_i is the degree in variable i, every term is an integer.
         den, offsets, tables = self._den, [], []
-        for name in self.variables:
+        for name in used:
             d = self.degree(name)
-            if d:
-                p, q = _ratio(assignment[name])
-                offsets.append(_offset(name))
-                tables.append([p**e * q ** (d - e) for e in range(d + 1)])
-                den *= q**d
+            p, q = _ratio(assignment[name])
+            offsets.append(_OFFSETS[name])
+            tables.append([p**e * q ** (d - e) for e in range(d + 1)])
+            den *= q**d
         total = 0
         for e, c in self._nums.items():
             for s, table in zip(offsets, tables):
@@ -339,8 +337,6 @@ class MultiPoly:
         if not subs:
             return self
         values = [as_poly(mapping[name]) for name in subs]
-        rest = [name for name in self.variables if name not in mapping]
-        out = tuple(dict.fromkeys(rest + [v for p in values for v in p.variables]))
         offsets = [_offset(name) for name in subs]
         fields = sum(_FIELD << s for s in offsets)
         zero = sum(_FIELD << s for s, p in zip(offsets, values) if p.is_zero())
@@ -383,17 +379,16 @@ class MultiPoly:
                 else:
                     product = {e: c * scale for e, c in product.items()}
             _mul_into(nums, group, product)
-        return _make(out, _checked(nums), den)
+        return _make(_checked(nums), den)
 
     def coefficient_poly(self, var, power):
         """Coefficient of var**power, as a polynomial in the other variables."""
-        if var not in self.variables:
-            return self if power == 0 else MultiPoly.constant(0, self.variables)
-        s = _offset(var)
-        rest = tuple(name for name in self.variables if name != var)
+        s = _OFFSETS.get(var)
+        if s is None:
+            return self if power == 0 else MultiPoly.constant(0)
         nums = {e - (power << s): c for e, c in self._nums.items()
                 if e >> s & _FIELD == power}
-        return _make(rest, nums, self._den)
+        return _make(nums, self._den)
 
     # -- calculus ----------------------------------------------------------
 
@@ -403,9 +398,9 @@ class MultiPoly:
         If ``var`` does not occur the result is (hi - lo) * self.
         """
         lo, hi = to_fraction(lo), to_fraction(hi)
-        if var not in self.variables:
+        s = _OFFSETS.get(var)
+        if s is None:
             return self * (hi - lo)
-        s = _offset(var)
         # Term x^e integrates to (hi^k - lo^k) / k, k = e + 1: an integer
         # over the common denominator lcm(1..top) * (qh * ql)^top.
         top = self.degree(var) + 1
@@ -421,14 +416,15 @@ class MultiPoly:
             k = e >> s & _FIELD
             key = e - (k << s)
             nums[key] = get(key, 0) + c * weight[k]
-        return _make(self.variables, nums, self._den * whole * (qh * ql) ** top)
+        return _make(nums, self._den * whole * (qh * ql) ** top)
 
     # -- presentation ------------------------------------------------------
 
     def __repr__(self):
+        names = self.variables
         parts = [
             "*".join([str(coeff)] + [name if e == 1 else f"{name}^{e}"
-                                     for name, e in zip(self.variables, exps) if e])
+                                     for name, e in zip(names, exps) if e])
             for exps, coeff in sorted(self.terms.items())
         ]
         return "MultiPoly(" + (" + ".join(parts) or "0") + ")"
@@ -468,11 +464,10 @@ def sum_of_products(rows, divisor=1):
 
 
 def _poly_sum_of_products(rows, divisor):
-    forms, variables = [], ()
+    forms = []
     for *head, last in rows:
-        a, da, av = _form(reduce(mul, head) if head else 1)
-        b, db, bv = _form(last)
-        variables = _union(variables, _union(av, bv))
+        a, da = _form(reduce(mul, head) if head else 1)
+        b, db = _form(last)
         forms.append((a, b, da * db))
     den = lcm(*(d for *_, d in forms))
     nums = {}
@@ -483,15 +478,15 @@ def _poly_sum_of_products(rows, divisor):
                 a, b = b, a
             a = {e: c * scale for e, c in a.items()}
         _mul_into(nums, a, b)
-    return _make(variables, _checked(nums), den * divisor)
+    return _make(_checked(nums), den * divisor)
 
 
 def _form(value):
-    """(numerator dict, denominator, variables) of a MultiPoly or scalar."""
+    """(numerator dict, denominator) of a MultiPoly or scalar."""
     if isinstance(value, MultiPoly):
-        return value._nums, value._den, value.variables
+        return value._nums, value._den
     num, den = _ratio(value)
-    return {0: num}, den, ()
+    return {0: num}, den
 
 
 def grid_identity_check(lhs: MultiPoly, rhs: MultiPoly, degree_bounds) -> bool:
@@ -523,9 +518,8 @@ def divide_exact(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if divisor.is_constant():
         return p / divisor.constant_value()
-    variables = _union(p.variables, divisor.variables)
     lead = max(divisor._nums)
-    quotient = MultiPoly.constant(0, variables)
+    quotient = MultiPoly.constant(0)
     remainder = p
     while not remainder.is_zero():
         e = max(remainder._nums)
@@ -536,7 +530,7 @@ def divide_exact(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:
             raise ValueError("inexact polynomial division")
         num = remainder._nums[e] * divisor._den
         den = remainder._den * divisor._nums[lead]
-        q_term = _make(variables, {q_exps: num if den > 0 else -num}, abs(den))
+        q_term = _make({q_exps: num if den > 0 else -num}, abs(den))
         quotient = quotient + q_term
         remainder = remainder - q_term * divisor
     return quotient

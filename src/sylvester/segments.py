@@ -241,7 +241,7 @@ def convexity_integrand(xbar, l_plus, l_minus):
     up, down = _chord_parts(
         interior_x, [as_poly(v) for v in l_plus],
         [as_poly(v) for v in l_minus],
-        MultiPoly.variable(U0, (U0, U1)), MultiPoly.variable(U1, (U0, U1)))
+        MultiPoly.variable(U0), MultiPoly.variable(U1))
     return _split_sum(interior_x, up, down, comb_poly)
 
 
@@ -301,9 +301,7 @@ def family_probability(family: NormalizedFamily) -> Fraction:
     l_minus = [family.l_minus(j) for j in range(1, N + 1)]
     g = convexity_integrand(family.xbar, l_plus, l_minus)
     value = _average_over_extreme(g, U0, family.L0)
-    value = _average_over_extreme(value, U1, family.L1)
-    if isinstance(value, MultiPoly):
-        value = value.constant_value()
+    value = _average_over_extreme(value, U1, family.L1).constant_value()
     denom = Fraction(1)
     for w in widths:
         denom *= w
@@ -313,8 +311,6 @@ def family_probability(family: NormalizedFamily) -> Fraction:
 def _average_over_extreme(poly, var, half_width):
     # Normalized average over u in [-L, L]; point evaluation in the L = 0
     # limit (degenerate extreme segment).
-    if not isinstance(poly, MultiPoly):
-        return poly
     if half_width == 0:
         return poly.substitute({var: 0})
     return poly.integrate_box(var, -half_width, half_width) / (2 * half_width)

@@ -84,6 +84,21 @@ def test_kpoly_symbolic_and_numeric(capsys):
     validate(doc, "kpoly.json")
 
 
+def test_kpoly_lists_variables_in_tooth_order(capsys):
+    # Sorted names would put l10 before l2; kpoly keeps l1 ... l10, and its
+    # exponent tuples follow that order, so evaluating them at lengths
+    # 1 ... 10 gives the numeric K.
+    x = ",".join(f"{j}/11" for j in range(1, 11))
+    names = [f"l{j}" for j in range(1, 11)]
+    code, doc = run_json(capsys, ["kpoly", "--x", x])
+    assert code == 0 and doc["variables"] == names
+    value = sum(Fraction(t["coeff"]) * math.prod(
+        j**e for j, e in enumerate(t["exps"], 1)) for t in doc["terms"])
+    lengths = ",".join(str(j) for j in range(1, 11))
+    code, numeric = run_json(capsys, ["kpoly", "--x", x, "--lengths", lengths])
+    assert code == 0 and Fraction(numeric["value"]) == value
+
+
 def test_kpoly_invalid_rational(capsys):
     for option, argv in (
         ("--x", ["--x", "{}"]),
@@ -471,6 +486,24 @@ def test_structure_check_survives_optimize_flag():
     )
     assert proc.returncode != 0
     assert "StructureError: odd beta-degree term survived" in proc.stderr
+
+
+def test_closed_stdout_pipe_is_not_an_error():
+    # `sylvester verify ... | head -1`: the reader has gone before the write.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sylvester.cli", "verify", "--case", "n4",
+             "--output", "pretty"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == cli.EXIT_OK
 
 
 def test_exact_commands_do_not_load_numpy():

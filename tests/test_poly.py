@@ -55,11 +55,40 @@ def test_variable_alignment_and_equality():
     q = v("b") + v("a")
     assert p == q
     assert hash(p) == hash(q)
-    assert p == MultiPoly.variable("a", ("a", "b", "c")) + v("b")
-    # an operand whose variables cover the other's keeps its order
-    wide = MultiPoly.variable("a", ("c", "b", "a"))
-    assert (wide + v("b")).variables == ("c", "b", "a")
-    assert (v("b") + wide).variables == ("c", "b", "a")
+    assert p == v("a").with_variables(("a", "b", "c")) + v("b")
+    # a result carries no label, whatever the operands' labels and order
+    wide = v("a").with_variables(("c", "b", "a"))
+    assert (wide + v("b")).variables == ("a", "b")
+    assert (v("b") + wide).variables == ("a", "b")
+
+
+def test_operand_order_does_not_show():
+    # A result carries no label, so equal results show equal variables,
+    # terms and repr whichever operand came first.
+    a, b = v("a"), v("b")
+    pairs = [(a + b, b + a), (a * b, b * a), (a - b, -b + a),
+             (sum_of_products([(a, b), (b,)]),
+              sum_of_products([(b,), (b, a)]))]
+    for left, right in pairs:
+        assert left.variables == right.variables == ("a", "b")
+        assert left.terms == right.terms
+        assert repr(left) == repr(right)
+
+
+def test_labels_stay_on_their_object():
+    p = MultiPoly(("y", "x", "w"), {(1, 2, 0): 3, (0, 0, 0): 1})
+    q = v("x").with_variables(("z", "x"))
+    assert p.variables == ("y", "x", "w") and q.variables == ("z", "x")
+    assert p.terms == {(1, 2, 0): 3, (0, 0, 0): 1}
+    assert (MultiPoly.variable("x").variables, MultiPoly.constant(3).variables
+            ) == (("x",), ())
+    results = [p + q, q - p, p * q, -q, 2 * q, q / 2, q**1,
+               q.substitute({"x": v("y")}), sum_of_products([(q, p)], 2),
+               p.integrate_box("y", 0, 1), p.coefficient_poly("y", 1),
+               q.even_part(("y",)), divide_exact(p * q, q)]
+    for r in results:
+        assert r.variables == tuple(sorted(r.used_variables()))
+    assert p.variables == ("y", "x", "w") and q.variables == ("z", "x")
 
 
 def test_missing_variable_error():
@@ -220,7 +249,7 @@ def expansion_oracle(p, mapping):
 #: Substituted values: rationals, the int and the polynomial zero,
 #: constants, and polynomials in any of NAMES, kept ones included.
 values = st.one_of(rationals, st.just(0),
-                   st.just(MultiPoly.constant(0, ("y",))),
+                   st.just(MultiPoly.constant(0).with_variables(("y",))),
                    rationals.map(MultiPoly.constant), polys())
 
 
@@ -393,7 +422,7 @@ def test_grid_identity_check_matches_grid(p, q, delta, order, slack):
 
 def test_constant_hashes_like_its_value():
     for value in (0, 5, Fraction(-1, 2)):
-        c = MultiPoly.constant(value, ("x", "y"))
+        c = MultiPoly.constant(value).with_variables(("x", "y"))
         assert c == value and hash(c) == hash(value)
         assert len({value, c}) == 1
 
@@ -483,4 +512,7 @@ def test_concurrent_registration_gets_distinct_fields():
     assert not any(thread.is_alive() for thread in threads)
     every = [name for batch in names for name in batch]
     assert len({poly._OFFSETS[name] for name in every}) == len(every)
+    assert all(poly._NAMES[poly._OFFSETS[name] // poly._WIDTH] == name
+               for name in every)
+    assert all(polys[name].variables == (name,) for name in every)
     assert len({next(iter(polys[name]._nums)) for name in every}) == len(every)

@@ -176,8 +176,8 @@ def test_symmetrized_integrand_is_four_sign_sum(x):
 def split_sum_oracle(xbar, l_plus, l_minus, comb):
     """`convexity_integrand` mask by mask, written out: the chord ordinate
     u = u0 + x (u1 - u0), then total = total + comb(above) * comb(below)."""
-    u0 = MultiPoly.variable("u0", ("u0", "u1"))
-    u1 = MultiPoly.variable("u1", ("u0", "u1"))
+    u0 = MultiPoly.variable("u0")
+    u1 = MultiPoly.variable("u1")
     xs = xbar[1:-1]
     N = len(xs)
     up = [lp - (u0 + x * (u1 - u0)) for x, lp in zip(xs, l_plus)]
