@@ -11,7 +11,7 @@ reading y_top = sup, y_bottom = inf of the slice ordinates, and the support
 is [min abscissa, max abscissa].
 
 numpy is imported inside the functions that draw or test floats
-(`sample_points`, `contains`, `inscribed_polygon`), not at module level:
+(`sample_points`, `slice_bounds`, `contains`), not at module level:
 every command imports this module, and the exact ones would otherwise pay
 numpy's start-up for nothing.
 """
@@ -155,6 +155,19 @@ def _polygon_slice(vertices, x, maximum, minimum):
     return bottom, top
 
 
+def _ellipse_slice(frame, x, root):
+    """(bottom, top) at x of the ellipse ``frame`` = (m, t): the image under
+    m of the chord a.w = d = x - t0 of the unit disk, a the first row of m.
+    ``root`` takes the square root of |a|^2 - d^2, negative outside the
+    support; exact and float entries run the same operations in order."""
+    ((a0, a1), (b0, b1)), (t0, t1) = frame
+    n2 = a0 * a0 + a1 * a1
+    d = x - t0
+    middle = t1 + d * ((a0 * b0 + a1 * b1) / n2)
+    half = abs(a0 * b1 - a1 * b0) / n2 * root(n2 - d * d)
+    return middle - half, middle + half
+
+
 def y_bounds(body, x):
     """(bottom, top) ordinates of the vertical slice at abscissa x."""
     x = to_fraction(x)
@@ -163,16 +176,13 @@ def y_bounds(body, x):
         if x < lo or x > hi:
             raise ValueError(f"abscissa {x} outside the body support")
         return _polygon_slice(body.vertices, x, max, min)
-    # The image under m of the chord a.w = d of the unit disk.
-    m, t = _frame(body)
-    (a0, a1), (b0, b1) = m
-    n2 = a0 * a0 + a1 * a1
-    d = x - t[0]
-    if d * d > n2:
-        raise ValueError(f"abscissa {x} outside the body support")
-    mid = t[1] + d * (a0 * b0 + a1 * b1) / n2
-    half = abs(_det2(m)) / n2 * rational_sqrt(n2 - d * d)
-    return mid - half, mid + half
+
+    def root(value):
+        if value < 0:
+            raise ValueError(f"abscissa {x} outside the body support")
+        return rational_sqrt(value)
+
+    return _ellipse_slice(_frame(body), x, root)
 
 
 def slice_bounds(body, x):
@@ -181,9 +191,9 @@ def slice_bounds(body, x):
     over many abscissas at once.
 
     A polygon slice is `y_bounds`' rule on the float vertices.  An
-    ellipse slice is its chord, with n2 - d^2 clipped at 0, so an abscissa
-    rounded just past the support gets a zero-width slice.  Raises
-    ValueError if an entry of the body has no finite float image.
+    ellipse slice is its chord, with |a|^2 - d^2 clipped at 0, so an
+    abscissa rounded just past the support gets a zero-width slice.
+    Raises ValueError if an entry of the body has no finite float image.
     """
     import numpy as np
 
@@ -192,12 +202,8 @@ def slice_bounds(body, x):
             _finite_floats(body.vertices, "polygon vertex"), x,
             lambda a, b: np.maximum(a, b, out=a),
             lambda a, b: np.minimum(a, b, out=a))
-    ((a0, a1), (b0, b1)), (t0, t1) = _float_frame(body)
-    n2 = a0 * a0 + a1 * a1
-    d = x - t0
-    middle = t1 + d * ((a0 * b0 + a1 * b1) / n2)
-    half = abs(a0 * b1 - a1 * b0) / n2 * np.sqrt(np.maximum(n2 - d * d, 0))
-    return middle - half, middle + half
+    return _ellipse_slice(_float_frame(body), x,
+                          lambda value: np.sqrt(np.maximum(value, 0)))
 
 
 def width(body, x):
@@ -253,18 +259,18 @@ def _dedupe_ring(ring):
 
 
 def _drop_collinear(ring):
-    changed = True
-    while changed and len(ring) > 3:
-        changed = False
-        for i in range(len(ring)):
-            a = ring[(i - 1) % len(ring)]
-            b = ring[i]
-            c = ring[(i + 1) % len(ring)]
-            if _cross(a, b, c) == 0:
-                ring = ring[:i] + ring[i + 1 :]
-                changed = True
-                break
-    return ring
+    # The ring of a width profile is weakly convex, so a vertex lies on the
+    # line of its two neighbours exactly when it lies inside a straight edge.
+    n = len(ring)
+    return [b for i, b in enumerate(ring)
+            if _cross(ring[i - 1], b, ring[(i + 1) % n]) != 0]
+
+
+def _affine(m, t, point):
+    """The exact image m.point + t."""
+    x, y = point
+    return (m[0][0] * x + m[0][1] * y + t[0],
+            m[1][0] * x + m[1][1] * y + t[1])
 
 
 def inscribed_polygon(body, vertex_count) -> Polygon:
@@ -273,22 +279,13 @@ def inscribed_polygon(body, vertex_count) -> Polygon:
     Boundary points at `vertex_count` angles, each rounded to high-precision
     rationals; the rounding is documented, not exact.
     """
-    import numpy as np
-
     m, t = _frame(body)
     pts = []
     for k in range(vertex_count):
-        theta = 2 * np.pi * k / vertex_count
-        w = (
-            round_to_dyadic(float(np.cos(theta)), 30),
-            round_to_dyadic(float(np.sin(theta)), 30),
-        )
-        pts.append(
-            (
-                t[0] + m[0][0] * w[0] + m[0][1] * w[1],
-                t[1] + m[1][0] * w[0] + m[1][1] * w[1],
-            )
-        )
+        theta = 2 * math.pi * k / vertex_count
+        w = (round_to_dyadic(math.cos(theta), 30),
+             round_to_dyadic(math.sin(theta), 30))
+        pts.append(_affine(m, t, w))
     return Polygon(tuple(pts))
 
 
@@ -320,24 +317,13 @@ def affine_image(body, matrix, translation=(0, 0)):
     if _det2(m) == 0:
         raise ValueError("singular affine map")
     if isinstance(body, Polygon):
-        verts = [
-            (
-                m[0][0] * x + m[0][1] * y + t[0],
-                m[1][0] * x + m[1][1] * y + t[1],
-            )
-            for x, y in body.vertices
-        ]
-        return Polygon(tuple(verts))
+        return Polygon(tuple(_affine(m, t, v) for v in body.vertices))
     em, et = _frame(body)
     new_m = tuple(
         tuple(sum(m[i][k] * em[k][j] for k in range(2)) for j in range(2))
         for i in range(2)
     )
-    new_t = (
-        m[0][0] * et[0] + m[0][1] * et[1] + t[0],
-        m[1][0] * et[0] + m[1][1] * et[1] + t[1],
-    )
-    return Ellipse(new_m, new_t)
+    return Ellipse(new_m, _affine(m, t, et))
 
 
 def contains(body, point) -> bool:

@@ -550,36 +550,22 @@ def positivity_check(expr: MultiPoly) -> bool:
 # -- default evaluation grids ----------------------------------------------
 
 
-def default_x_pairs(grid_size=6):
-    """Admissible (x1, x2) grid points, 0 < x1 < x2 < 1."""
-    base = [Fraction(k, grid_size + 2) for k in range(1, grid_size + 2)]
-    return [(u, v) for u, v in combinations(base, 2)]
+def default_x_pairs():
+    """The 21 admissible (x1, x2) points of `verify_n4`: every pair of
+    eighths 0 < x1 < x2 < 1."""
+    return list(combinations([Fraction(k, 8) for k in range(1, 8)], 2))
 
 
-_TRIPLE_DENOMINATORS = (7, 11, 13, 17, 19, 23)
-#: How many distinct triples those denominators allow: C(d - 1, 3) each.
-MAX_X_TRIPLES = sum(math.comb(d - 1, 3) for d in _TRIPLE_DENOMINATORS)
-
-
-def default_x_triples(count=30):
-    """Admissible (x1, x2, x3) points, denominator-diverse, deterministic.
-
-    Raises ValueError above MAX_X_TRIPLES, where the search would never
-    end."""
-    if count > MAX_X_TRIPLES:
-        raise ValueError(
-            f"at most {MAX_X_TRIPLES} distinct triples, asked for {count}"
-        )
-    out = {}
-    k = 0
-    denoms = _TRIPLE_DENOMINATORS
-    while len(out) < count:
-        d = denoms[k % len(denoms)]
-        rng = random.Random(k)
-        vals = sorted(rng.sample(range(1, d), 3))
-        out.setdefault(tuple(Fraction(v, d) for v in vals))
-        k += 1
-    return list(out)
+def default_x_triples():
+    """The 30 admissible (x1, x2, x3) points of `verify_n5`,
+    denominator-diverse and deterministic: draw k takes three numerators
+    below its denominator d, cycling through 7, 11, 13, 17, 19 and 23, with
+    ``random.Random(k)``.  These 30 draws are distinct."""
+    return [
+        tuple(Fraction(v, d)
+              for v in sorted(random.Random(k).sample(range(1, d), 3)))
+        for k, d in enumerate((7, 11, 13, 17, 19, 23) * 5)
+    ]
 
 
 # -- verification entry points ---------------------------------------------

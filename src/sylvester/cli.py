@@ -54,12 +54,18 @@ def _int_at_least(minimum):
 
 
 def _workers(text):
-    """--workers' type.  argparse passes its string default through it on
-    every parse, so a reused parser reads SYLVESTER_WORKERS afresh, and a
-    bad value there is a usage error like a bad --workers."""
+    """--workers' type: an int in 1..montecarlo.MAX_WORKERS.  argparse
+    passes its string default through it on every parse, so a reused
+    parser reads SYLVESTER_WORKERS afresh, and a bad value there is a usage
+    error like a bad --workers."""
     if text == "$SYLVESTER_WORKERS":
         text = os.environ.get("SYLVESTER_WORKERS") or "1"
-    return _int_at_least(1)(text)
+    value = _int_at_least(1)(text)
+    if value > montecarlo.MAX_WORKERS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {montecarlo.MAX_WORKERS}, got {value}"
+        )
+    return value
 
 
 def build_parser():
@@ -414,12 +420,7 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    handler = _HANDLERS[args.command]
-    try:
-        outcome = handler(args)
+        doc, code, *rows = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -429,13 +430,8 @@ def main(argv=None) -> int:
     except certificates.StructureError as exc:
         print(f"certificate structure error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    if len(outcome) == 3:
-        doc, code, rows = outcome
-    else:
-        doc, code = outcome
-        rows = None
     try:
-        print(_emit(doc, args, rows), flush=True)
+        print(_emit(doc, args, *rows), flush=True)
     except BrokenPipeError:
         # The reader is gone; send what is left, and the exit flush, nowhere.
         devnull = os.open(os.devnull, os.O_WRONLY)

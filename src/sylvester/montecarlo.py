@@ -49,6 +49,10 @@ from .segments import (
 #: Unused here; bench/tracing.py's dyadic-tie counter still reads it.
 ABSCISSA_BITS = 26
 
+#: Most worker streams `estimate_Q` takes.  It builds every stream's seed
+#: and chunk before its first draw, so the count bounds that memory.
+MAX_WORKERS = 1024
+
 
 @dataclass(frozen=True)
 class EstimateResult:
@@ -260,14 +264,15 @@ def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
 
     The result depends on (seed, workers, samples) only; the ``workers``
     chunks run on at most ``os.cpu_count()`` threads, in the calling
-    thread when that is one.
+    thread when that is one.  Raises ValueError unless 1 <= workers <=
+    `MAX_WORKERS`.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
     import numpy as np
 
     jobs = (

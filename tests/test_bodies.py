@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sylvester import bodies
 from sylvester.bodies import (
     Disk,
     Ellipse,
@@ -158,6 +159,42 @@ def test_transforms_preserve_area_and_width(rng):
         for x in probes:
             b, t = y_bounds(sha, x)
             assert b == 0
+
+
+def restarting_drop_collinear(ring):
+    """The earlier rule, kept as an oracle for `_drop_collinear`: drop the
+    first vertex on the line of its neighbours, then scan the ring again."""
+    changed = True
+    while changed and len(ring) > 3:
+        changed = False
+        for i in range(len(ring)):
+            a, b, c = ring[i - 1], ring[i], ring[(i + 1) % len(ring)]
+            if bodies._cross(a, b, c) == 0:
+                ring = ring[:i] + ring[i + 1:]
+                changed = True
+                break
+    return ring
+
+
+def test_drop_collinear_matches_the_restart_loop(rng, monkeypatch):
+    rings = []
+    one_pass = bodies._drop_collinear
+
+    def recording(ring):
+        rings.append(ring)
+        return one_pass(ring)
+
+    shapes = [TRI, SQUARE, PENTAGON, Disk((0, 0), 1),
+              Ellipse(((2, 1), (Fraction(1, 3), 1)), (Fraction(1, 2), -3)),
+              *(random_convex_polygon(rng) for _ in range(200))]
+    monkeypatch.setattr(bodies, "_drop_collinear", recording)
+    images = [(steiner_symmetrize(s), shake(s)) for s in shapes]
+    # Every shape but the two curved ones symmetrizes through a ring.
+    assert len(rings) == 2 * len(shapes) - 2
+    for ring in rings:
+        assert one_pass(ring) == restarting_drop_collinear(ring)
+    monkeypatch.setattr(bodies, "_drop_collinear", restarting_drop_collinear)
+    assert [(steiner_symmetrize(s), shake(s)) for s in shapes] == images
 
 
 def test_symmetrize_disk_and_ellipse():

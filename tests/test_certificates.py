@@ -23,7 +23,7 @@ from sylvester.certificates import (
 from sylvester.poly import MultiPoly, grid_identity_check
 from sylvester.segments import profile_to_offsets, symmetrized_integrand
 
-POINTS = default_x_triples(4)
+POINTS = default_x_triples()[:4]
 #: The order of the pair symbolic_difference returns.
 KINDS = ("majoration", "minoration")
 
@@ -161,7 +161,7 @@ def test_helper_symbolic_matches_endpoints():
 
 
 def test_verify_n4_passes():
-    report = verify_n4(points=default_x_pairs(4))
+    report = verify_n4(points=default_x_pairs()[:10])
     assert report.summary
     assert all(c.passed for c in report.identity_checks)
 
@@ -479,7 +479,3 @@ def list_scan_triples(count):
 
 def test_default_x_triples():
     assert default_x_triples() == list_scan_triples(30)
-    assert default_x_triples(300) == list_scan_triples(300)
-    assert certs.MAX_X_TRIPLES == 3276  # C(d - 1, 3) summed over the d
-    with pytest.raises(ValueError, match="at most 3276"):
-        default_x_triples(3277)

@@ -513,6 +513,8 @@ def test_exact_commands_do_not_load_numpy():
         "N": 2, "xbar": ["0", "1/3", "2/3", "1"], "L0": "0", "L1": "0",
         "lambda": ["0", "1/2", "1/2", "0"], "beta": ["0", "0", "0", "0"],
     })
+    ellipse = json.dumps({"type": "ellipse", "m": [["2", "1"], ["1/3", "1"]],
+                          "t": ["1/2", "-3"]})
     commands = [
         ["verify", "--case", "n4"],
         ["kpoly", "--x", "1/3,2/3", "--lengths", "1/1,1/1"],
@@ -521,6 +523,8 @@ def test_exact_commands_do_not_load_numpy():
         ["closed-forms"],
         ["transform", "--op", "sym", "--body", "triangle"],
         ["transform", "--op", "sha", "--body", "triangle"],
+        ["transform", "--op", "sha", "--body", "disk"],
+        ["transform", "--op", "sha", "--body", ellipse],
     ]
     script = (
         "import contextlib, io, json, sys\n"
@@ -624,7 +628,8 @@ def test_workers_env_default(monkeypatch, capsys):
     monkeypatch.setenv("SYLVESTER_WORKERS", "")
     assert cli.build_parser().parse_args(["estimate"]).workers == 1
     for value, message in (("junk", "invalid int value"),
-                           ("0", "at least 1")):
+                           ("0", "at least 1"),
+                           ("1025", "at most 1024")):
         monkeypatch.setenv("SYLVESTER_WORKERS", value)
         for command in ("estimate", "theorem1"):
             assert cli.main([command, "--samples", "10"]) == cli.EXIT_USAGE
@@ -636,6 +641,22 @@ def test_workers_env_default(monkeypatch, capsys):
         assert cli.main(["estimate", "--samples", "10", "--workers", "2"]) == 0
         assert cli.main(["closed-forms"]) == cli.EXIT_OK
         capsys.readouterr()
+
+
+def test_workers_cap(monkeypatch, capsys):
+    # Every worker stream is built before the first draw, so the count is
+    # capped; the cap itself runs.
+    monkeypatch.delenv("SYLVESTER_WORKERS", raising=False)
+    assert cli.main(["estimate", "--samples", "10", "--workers", "1025"]) \
+        == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: argument --workers: must be at "
+                            "most 1024, got 1025\n")
+    code, doc = run_json(capsys, ["estimate", "--samples", "2000",
+                                  "--workers", "1024"])
+    assert code == cli.EXIT_OK
+    assert doc["workers"] == 1024
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

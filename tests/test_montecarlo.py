@@ -567,6 +567,8 @@ def test_input_validation():
         estimate_Q(TRI, 2, 100)
     with pytest.raises(ValueError):
         estimate_Q(TRI, 4, 0)
+    with pytest.raises(ValueError, match="workers"):
+        estimate_Q(TRI, 4, 100, workers=montecarlo.MAX_WORKERS + 1)
 
 
 @pytest.mark.parametrize("count", [0, -5])
