@@ -21,12 +21,16 @@ them off the monomials they alone own.
 Each abscissa point of a verify call is a `_Point`: a tuple of its
 abscissas that also carries what the checks derive from x alone, built on
 first use and kept as long as the point.  Those are the Lin helper values
-at x, the slope map lam -> p, beta -> q, and the cone table.  `verify_n5`
-keys both differences of a triple by one point, so the cone and quadratic
-checks share these, and they are freed when the call returns.  What one
-check alone reads, the l1 tables and the mirror point's table, is not
-kept.  Each check certifies each distinct polynomial of its positivity
-list once.
+at x, the slope map lam -> p, beta -> q, and the cone table.  The points
+are independent, so `parallel.fork_map` shares them out among the usable
+CPUs: all the work of one point runs in one process, and only the check
+outcomes, not polynomials, come back.  `verify_n5` builds a triple's
+`_Point` and both its differences in the process that checks it, and runs
+the cone and quadratic checks there on them, so they share its tables,
+which are freed when that triple is done.  What one check alone reads, the
+l1 tables and the mirror point's table, is not kept.  The positivity
+claims do not depend on x: each distinct polynomial among them is
+certified once per call, also in parallel.
 
 Every "> 0" claim is certified on the ordered simplex
 0 < x1 < x2 < x3 < 1, mapped onto the open unit cube, by a Bernstein
@@ -578,15 +582,18 @@ _N4_BOUNDS = {
 
 def _identity_checks(points, checks_at):
     """One IdentityCheck per name of ``checks_at(x)``, the ordered
-    {check name: outcome} at one x point.  An outcome is True where the
-    check holds; a failing one is False or its detail string, and a check
-    reports the detail of its first failing point.  No point would make
-    every check pass vacuously, so it is an error."""
+    {check name: outcome} at one x point, run on the points by `fork_map`.
+    An outcome is True where the check holds; a failing one is False or its
+    detail string, and a check reports the detail of its first failing
+    point.  No point would make every check pass vacuously, so it is an
+    error."""
+    from .parallel import fork_map  # imported here: see its docstring
+
     if not points:
         raise ValueError("identity checks need at least one x point")
     names, details = {}, {}
-    for x in points:
-        for name, outcome in checks_at(x).items():
+    for outcomes in fork_map(checks_at, points):
+        for name, outcome in outcomes.items():
             names[name] = None
             if outcome is not True:
                 details.setdefault(name, outcome or None)
@@ -627,15 +634,27 @@ def verify_n5(points=None) -> CertificateReport:
     abscissa triples ``points``, from one general integrand per triple."""
     if points is None:
         points = default_x_triples()
-    # Both checks read one _Point per triple, and so share its tables.
-    differences = {_Point(x): symbolic_difference(x) for x in points}
-    return verify_n5_cone(differences).merge(verify_n5_quadratic(differences))
+    # Built before any fork, so that no child rebuilds a helper polynomial.
+    claims = [*_cone_claims(), *_quadratic_claims()]
+
+    def checks_at(x):
+        # Both checks of a triple read its one _Point and the two
+        # differences of its one integrand, so one process runs both.
+        differences = {_Point(x): symbolic_difference(x)}
+        report = verify_n5_cone(differences, positivity=False).merge(
+            verify_n5_quadratic(differences, positivity=False))
+        return {c.name: c.passed or c.detail for c in report.identity_checks}
+
+    return CertificateReport(_identity_checks(points, checks_at),
+                             _positivity_checks(claims))
 
 
-def verify_n5_cone(differences) -> CertificateReport:
+def verify_n5_cone(differences, *, positivity=True) -> CertificateReport:
     """Certify the n = 5 shaking-difference cone decomposition: the
     l0/l1/constant split, the 18 + 6 published coefficients, the mirror
-    relation for the l0 part, and positivity of every coefficient.
+    relation for the l0 part, and, unless ``positivity`` is false,
+    positivity of every coefficient, which holds or fails independently of
+    the triples.
 
     ``differences`` maps each abscissa triple to its symbolic_difference
     pair; the cone checks read the minoration, its second member."""
@@ -658,18 +677,22 @@ def verify_n5_cone(differences) -> CertificateReport:
 
     return CertificateReport(
         _identity_checks(differences, checks_at),
-        _positivity_checks([*_lin_positivity(HELPERS, "", "on the simplex"),
-                            *_prefactor_atoms()]),
+        _positivity_checks(_cone_claims() if positivity else []),
     )
+
+
+def _cone_claims():
+    return [*_lin_positivity(HELPERS, "", "on the simplex"),
+            *_prefactor_atoms()]
 
 
 def _positivity_checks(named):
     """One PositivityCheck per (name, expr) of ``named``, certifying each
-    distinct expr once."""
-    verdicts = {}
-    for _, expr in named:
-        if expr not in verdicts:
-            verdicts[expr] = positivity_check(expr)
+    distinct expr once, by `fork_map`."""
+    from .parallel import fork_map
+
+    distinct = list(dict.fromkeys(expr for _, expr in named))
+    verdicts = dict(zip(distinct, fork_map(positivity_check, distinct)))
     return [PositivityCheck(name, verdicts[expr]) for name, expr in named]
 
 
@@ -706,11 +729,12 @@ def _prefactor_atoms():
     return [(f"prefactor atom {n}", e) for n, e in atoms.items()]
 
 
-def verify_n5_quadratic(differences) -> CertificateReport:
+def verify_n5_quadratic(differences, *, positivity=True) -> CertificateReport:
     """Certify the n = 5 symmetrization-difference quadratic forms: the
     l0/l1/constant split against the published f1/f3 displays, the mirror
     rule for f2, the matrix forms, and every stated leading-principal-minor
-    factorization with its positivity.
+    factorization with, unless ``positivity`` is false, the positivity of
+    its Lin factor, which holds or fails independently of the triples.
 
     ``differences`` maps each abscissa triple to its symbolic_difference
     pair; the quadratic checks read the majoration, its first member."""
@@ -740,10 +764,12 @@ def verify_n5_quadratic(differences) -> CertificateReport:
 
     return CertificateReport(
         _identity_checks(differences, checks_at),
-        _positivity_checks(
-            _lin_positivity(_MINOR_G, "minor ", "factor on the simplex")
-        ),
+        _positivity_checks(_quadratic_claims() if positivity else []),
     )
+
+
+def _quadratic_claims():
+    return _lin_positivity(_MINOR_G, "minor ", "factor on the simplex")
 
 
 def _minor_endpoint_g():

@@ -7,9 +7,9 @@ three estimators draw through one generator, `_batches`, in batches of
 `MASK_BLOCK` samples, so peak memory does not grow with the sample count.
 The plain estimator splits the samples into `workers` chunks, one per
 stream of `SeedSequence(seed).spawn(workers)`.  The chunks run on a thread
-pool of at most `os.cpu_count()` threads, or in the calling thread when
-that is one (numpy releases the interpreter lock in the draws and the hull
-test), and their hits are summed in worker order, so identical (seed,
+pool of at most `parallel.usable_cpus()` threads, or in the calling thread
+when that is one (numpy releases the interpreter lock in the draws and the
+hull test), and their hits are summed in worker order, so identical (seed,
 workers, samples) give identical hits on any machine.
 
 The hull test (`convex_position_mask`) adds each sample's points one at a
@@ -32,7 +32,6 @@ module level: every command imports this module, and the exact ones
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -263,7 +262,7 @@ def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
     """Plain binomial estimator of the convex-position probability.
 
     The result depends on (seed, workers, samples) only; the ``workers``
-    chunks run on at most ``os.cpu_count()`` threads, in the calling
+    chunks run on at most `parallel.usable_cpus()` threads, in the calling
     thread when that is one.  Raises ValueError unless 1 <= workers <=
     `MAX_WORKERS`.
     """
@@ -275,12 +274,14 @@ def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
     import numpy as np
 
+    from .parallel import usable_cpus
+
     jobs = (
         [_body_draw(body, n)] * workers,
         _worker_chunks(samples, workers),
         np.random.SeedSequence(seed).spawn(workers),
     )
-    threads = min(workers, os.cpu_count() or 1)
+    threads = min(workers, usable_cpus())
     if threads == 1:
         # One thread gains nothing from a pool, and the caller's thread
         # stays interruptible between batches.

@@ -86,36 +86,54 @@ def test_difference_matches_two_family_oracle(x, kind):
     assert difference == two_family_difference(x, kind)
 
 
-def count_integrands(monkeypatch):
+class CallLog:
+    """Counts the calls of certificates functions in every process: each
+    call appends one line to a file, so the calls that forked children of
+    `fork_map` make count too."""
+
+    def __init__(self, monkeypatch, path, names):
+        self.path = path
+        self.clear()
+        for name in names:
+            original = getattr(certs, name)
+
+            def counted(*args, _name=name, _original=original):
+                with open(self.path, "a") as log:
+                    log.write(_name + "\n")
+                return _original(*args)
+
+            monkeypatch.setattr(certs, name, counted)
+
+    def clear(self):
+        self.path.write_text("")
+
+    def __getitem__(self, name):
+        return self.path.read_text().split().count(name)
+
+
+def count_integrands(monkeypatch, tmp_path):
     """Record every symmetrized_integrand call that certificates makes."""
-    calls = []
-    original = certs.symmetrized_integrand
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(certs, "symmetrized_integrand", counted)
-    return calls
+    return CallLog(monkeypatch, tmp_path / "calls", ["symmetrized_integrand"])
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_one_integrand_per_difference(monkeypatch, kind):
-    calls = count_integrands(monkeypatch)
+def test_one_integrand_per_difference(monkeypatch, tmp_path, kind):
+    calls = count_integrands(monkeypatch, tmp_path)
     for x in ((Fraction(1, 3), Fraction(2, 3)), POINTS[0]):
         calls.clear()
         difference = symbolic_difference(x)[KINDS.index(kind)]
-        assert len(calls) == 1
+        assert calls["symmetrized_integrand"] == 1
         assert difference == two_family_difference(x, kind)
 
 
-def test_one_integrand_per_x_point(monkeypatch):
-    calls = count_integrands(monkeypatch)
+def test_one_integrand_per_x_point(monkeypatch, tmp_path):
+    calls = count_integrands(monkeypatch, tmp_path)
     verify_n5(points=POINTS)
-    assert len(calls) == len(POINTS)
+    assert calls["symmetrized_integrand"] == len(POINTS)
     calls.clear()
     certs.verify_all()
-    assert len(calls) == 51  # 21 x pairs and 30 x triples
+    # 21 x pairs and 30 x triples, over all processes
+    assert calls["symmetrized_integrand"] == 51
 
 
 def test_nonnegativity_spot_checks():
@@ -382,27 +400,12 @@ def test_compa_violation_witness_exists():
     assert all(abs(b) <= l for b, l in zip(beta, lam))
 
 
-def count_calls(monkeypatch, names):
-    """Count the calls of the named certificates functions."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(certs, name)
-
-        def counted(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(certs, name, counted)
-    return counts
-
-
-def test_verify_n5_builds_each_point_once_per_call(monkeypatch):
+def test_verify_n5_builds_each_point_once_per_call(monkeypatch, tmp_path):
     names = ("symbolic_difference", "to_slope_variables",
              "cone_coefficients_d2", "positivity_check")
-    counts = count_calls(monkeypatch, names)
+    counts = CallLog(monkeypatch, tmp_path / "calls", names)
     for _ in range(2):  # a second call recomputes: no cache outlives a call
-        for name in names:
-            counts[name] = 0
+        counts.clear()
         report = verify_n5()
         assert report.summary
         assert counts["symbolic_difference"] == 30

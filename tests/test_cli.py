@@ -553,6 +553,21 @@ def test_exact_commands_do_not_load_numpy():
             if "numpy" in line] == []
 
 
+def test_verify_leaves_stderr_clean_under_dev_mode():
+    # Warnings are errors and dev mode reports unclosed files: a leaked pipe
+    # end (ResourceWarning) or a fork beside a live thread
+    # (DeprecationWarning, Python 3.12+) would show here.
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-X", "dev", "-m", "sylvester.cli",
+         "verify", "--case", "all"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["summary"] == "pass"
+
+
 @pytest.mark.parametrize("name, argv", [
     ("estimate_disk_n5_w2", ["estimate", "--body", "disk", "--n", "5",
                              "--samples", "50000", "--seed", "1",

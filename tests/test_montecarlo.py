@@ -1,7 +1,6 @@
 import concurrent.futures
 import hashlib
 import math
-import os
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sylvester import bodies, montecarlo
+from sylvester import bodies, montecarlo, parallel
 from sylvester.bodies import (
     Disk,
     Ellipse,
@@ -414,12 +413,12 @@ def test_threads_match_sequential_chunks(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         RecordingPool)
-    cpu_count = os.cpu_count() or 1
+    cpu_count = parallel.usable_cpus()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # provoke interleaving of the threads
     try:
         hits = [estimate_Q(SQUARE, 5, samples, seed=seed, workers=workers).hits]
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         hits.append(estimate_Q(SQUARE, 5, samples, seed=seed,
                                workers=workers).hits)
     finally:
