@@ -10,8 +10,8 @@ inscribed `CURVED_APPROX_VERTICES`-gon.  The boundary functions fix the
 reading y_top = sup, y_bottom = inf of the slice ordinates, and the support
 is [min abscissa, max abscissa].
 
-numpy is imported inside the functions that draw or test floats
-(`sample_points`, `slice_bounds`, `contains`), not at module level:
+numpy is imported inside the functions that draw or slice floats
+(`sample_points`, `slice_bounds`), not at module level:
 every command imports this module, and the exact ones would otherwise pay
 numpy's start-up for nothing.
 """
@@ -327,21 +327,22 @@ def affine_image(body, matrix, translation=(0, 0)):
 
 
 def contains(body, point) -> bool:
-    """Closed containment; exact for polygons with rational input."""
-    x, y = point
+    """Closed containment, exact: a float coordinate counts as the
+    rational it equals."""
+    x, y = (to_fraction(c) for c in point)
     if isinstance(body, Polygon):
-        x, y = to_fraction(x), to_fraction(y)
         verts = body.vertices
         n = len(verts)
         return all(
             _cross(verts[i], verts[(i + 1) % n], (x, y)) >= 0
             for i in range(n)
         )
-    import numpy as np
-
-    m, t = _float_frame(body)
-    w = np.linalg.solve(m, np.array([float(x), float(y)]) - t)
-    return float(w @ w) <= 1 + 1e-12
+    # w = m^-1 (p - t) = adj(m) (p - t) / det(m), so |w|^2 <= 1 iff
+    # |adj(m) (p - t)|^2 <= det(m)^2.
+    m, (tx, ty) = _frame(body)
+    ((a, b), (c, d)) = m
+    u, v = x - tx, y - ty
+    return (d * u - b * v) ** 2 + (a * v - c * u) ** 2 <= _det2(m) ** 2
 
 
 # -- sampling --------------------------------------------------------------

@@ -54,18 +54,13 @@ def _int_at_least(minimum):
 
 
 def _workers(text):
-    """--workers' type: an int in 1..montecarlo.MAX_WORKERS.  argparse
-    passes its string default through it on every parse, so a reused
-    parser reads SYLVESTER_WORKERS afresh, and a bad value there is a usage
-    error like a bad --workers."""
+    """--workers' type: an int of at least 1, the most threads an estimate
+    may use.  argparse passes its string default through it on every
+    parse, so a reused parser reads SYLVESTER_WORKERS afresh, and a bad
+    value there is a usage error like a bad --workers."""
     if text == "$SYLVESTER_WORKERS":
         text = os.environ.get("SYLVESTER_WORKERS") or "1"
-    value = _int_at_least(1)(text)
-    if value > montecarlo.MAX_WORKERS:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {montecarlo.MAX_WORKERS}, got {value}"
-        )
-    return value
+    return _int_at_least(1)(text)
 
 
 def build_parser():
@@ -91,8 +86,9 @@ def build_parser():
             p.add_argument("--samples", type=_int_at_least(1), default=10_000)
             p.add_argument("--workers", type=_workers,
                            default="$SYLVESTER_WORKERS",
-                           help="worker streams, run on at most one thread "
-                                "per CPU (default: $SYLVESTER_WORKERS or 1)")
+                           help="most threads, at most one per CPU; the "
+                                "output does not depend on it (default: "
+                                "$SYLVESTER_WORKERS or 1)")
 
     p = sub.add_parser("comb", help="exact comb probability")
     p.add_argument("--comb", required=True,
@@ -288,14 +284,9 @@ def _cmd_cond(args):
 
 def _cmd_estimate(args):
     body = _load_body(args.body)
-    if args.rb:
-        result = montecarlo.estimate_Q_rb(
-            body, args.n, args.samples, seed=args.seed
-        )
-    else:
-        result = montecarlo.estimate_Q(
-            body, args.n, args.samples, seed=args.seed, workers=args.workers
-        )
+    estimate = montecarlo.estimate_Q_rb if args.rb else montecarlo.estimate_Q
+    result = estimate(body, args.n, args.samples, seed=args.seed,
+                      workers=args.workers)
     return result.to_json(), EXIT_OK
 
 

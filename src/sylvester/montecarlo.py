@@ -2,15 +2,14 @@
 probabilities, used both as end-user functionality and as brute-force
 oracles for the exact formulas.
 
-PRNG: numpy PCG64 seeded through `numpy.random.SeedSequence(seed)`.  All
-three estimators draw through one generator, `_batches`, in batches of
-`MASK_BLOCK` samples, so peak memory does not grow with the sample count.
-The plain estimator splits the samples into `workers` chunks, one per
-stream of `SeedSequence(seed).spawn(workers)`.  The chunks run on a thread
-pool of at most `parallel.usable_cpus()` threads, or in the calling thread
-when that is one (numpy releases the interpreter lock in the draws and the
-hull test), and their hits are summed in worker order, so identical (seed,
-workers, samples) give identical hits on any machine.
+PRNG: numpy PCG64.  All three estimators draw through `_map_batches`, in
+batches of `MASK_BLOCK` samples, so peak memory does not grow with the
+sample count.  Batch b draws from its own stream, the child
+`SeedSequence(seed).spawn(b + 1)[b]`, and the batch results are combined
+in batch order, so every estimate depends on (seed, samples) only:
+``workers`` just caps the threads that share the batches (numpy releases
+the interpreter lock in the draws, the hull test and the float
+conditional).
 
 The hull test (`convex_position_mask`) adds each sample's points one at a
 time and checks every new four-point subset by the parity of its triple
@@ -32,6 +31,7 @@ module level: every command imports this module, and the exact ones
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -47,11 +47,6 @@ from .segments import (
 
 #: Unused here; bench/tracing.py's dyadic-tie counter still reads it.
 ABSCISSA_BITS = 26
-
-#: Most worker streams `estimate_Q` takes.  It builds every stream's seed
-#: and chunk before its first draw, so the count bounds that memory.
-MAX_WORKERS = 1024
-
 
 @dataclass(frozen=True)
 class EstimateResult:
@@ -142,10 +137,10 @@ def _hull_vertex_count(pts):
     return len(lower) + len(upper) - 2
 
 
-#: Samples per block of `convex_position_mask` and per batch of the plain
-#: estimators; bounds their temporaries.  Pinned: `_count_hits` draws its
-#: batches of this size from one stream, so another value changes every
-#: seeded plain estimate.
+#: Samples per block of `convex_position_mask` and per batch of the
+#: estimators; bounds their temporaries.  Pinned: each batch of this size
+#: draws from a stream of its own, so another value changes every seeded
+#: estimate.
 MASK_BLOCK = 1 << 13
 
 
@@ -229,26 +224,56 @@ def convex_position_mask(samples: np.ndarray) -> np.ndarray:
 # -- estimators ------------------------------------------------------------
 
 
-def _batches(draw, count, rng):
-    """Yield ``draw(batch, rng)`` for each `MASK_BLOCK` batch of ``count``
-    samples, in order, all from one stream ``rng``."""
-    for start in range(0, count, MASK_BLOCK):
-        yield draw(min(MASK_BLOCK, count - start), rng)
+def _map_batches(draw, reduce, samples, seed, workers):
+    """Yield ``reduce(draw(size, rng))`` for each batch, in batch order:
+    batch b holds `MASK_BLOCK` of the ``samples`` (the last one the rest)
+    and its rng is the generator of `SeedSequence(seed, spawn_key=(b,))`.
 
+    ``min(workers, usable_cpus(), batches)`` threads share the batches;
+    with one, no pool is built.  The threads run at most two batches each
+    ahead of the one yielded next, so memory does not grow with
+    ``samples``, and a failing batch raises in its turn, as serially.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    import threading
 
-def _worker_chunks(samples, workers):
-    base, extra = divmod(samples, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
-def _count_hits(draw, count, stream):
-    """Samples in convex position among ``count`` samples that ``draw``
-    takes from the stream seeded by ``stream`` (a seed or SeedSequence)."""
     import numpy as np
 
-    rng = np.random.default_rng(stream)
-    return sum(int(convex_position_mask(pts).sum())
-               for pts in _batches(draw, count, rng))
+    batches = -(-samples // MASK_BLOCK)
+    kept = threading.local()
+
+    def batch(b):
+        rng = np.random.default_rng(np.random.SeedSequence(seed,
+                                                           spawn_key=(b,)))
+        # A thread's last points are freed only once these are drawn.
+        # Freed before, glibc gives their pages back and faults them in
+        # again: a serial 2e5-sample disk n = 5 run in the benchmark's
+        # process (2 vCPU, glibc 2.36) then took 20x the page faults and
+        # 1.4x the time.
+        kept.pts = draw(min(MASK_BLOCK, samples - b * MASK_BLOCK), rng)
+        return reduce(kept.pts)
+
+    threads = min(workers, batches)
+    if threads > 1:
+        from .parallel import usable_cpus
+
+        threads = min(threads, usable_cpus())
+    if threads == 1:
+        yield from map(batch, range(batches))
+        return
+    # Imported here: it pulls in logging and queue, about 10 ms of
+    # start-up that single-threaded commands need not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        ahead = deque()
+        for b in range(batches):
+            ahead.append(pool.submit(batch, b))
+            if len(ahead) > 2 * threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def _body_draw(body, n):
@@ -258,43 +283,19 @@ def _body_draw(body, n):
     return draw
 
 
-def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
-    """Plain binomial estimator of the convex-position probability.
+def _hit_count(pts):
+    return int(convex_position_mask(pts).sum())
 
-    The result depends on (seed, workers, samples) only; the ``workers``
-    chunks run on at most `parallel.usable_cpus()` threads, in the calling
-    thread when that is one.  Raises ValueError unless 1 <= workers <=
-    `MAX_WORKERS`.
-    """
+
+def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
+    """Plain binomial estimator of the convex-position probability; it
+    depends on (seed, samples) only, and ``workers`` >= 1 caps threads."""
     if n < 3:
         raise ValueError("n must be >= 3")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
-    import numpy as np
-
-    from .parallel import usable_cpus
-
-    jobs = (
-        [_body_draw(body, n)] * workers,
-        _worker_chunks(samples, workers),
-        np.random.SeedSequence(seed).spawn(workers),
-    )
-    threads = min(workers, usable_cpus())
-    if threads == 1:
-        # One thread gains nothing from a pool, and the caller's thread
-        # stays interruptible between batches.
-        hits = sum(map(_count_hits, *jobs))
-    else:
-        # Imported here: it pulls in logging and queue, about 10 ms of
-        # start-up that single-threaded commands need not pay.
-        from concurrent.futures import ThreadPoolExecutor
-
-        # ``map`` yields in worker order and cancels pending chunks if the
-        # caller is interrupted.
-        with ThreadPoolExecutor(threads) as pool:
-            hits = sum(pool.map(_count_hits, *jobs))
+    hits = sum(_map_batches(_body_draw(body, n), _hit_count, samples, seed,
+                            workers))
     return _binomial_result(n, samples, hits, seed, workers)
 
 
@@ -326,7 +327,7 @@ def rb_conditionals(body, rows):
     return segment_probabilities(x, *bodies.slice_bounds(body, x))
 
 
-def estimate_Q_rb(body, n, samples, seed=0) -> EstimateResult:
+def estimate_Q_rb(body, n, samples, seed=0, workers=1) -> EstimateResult:
     """Rao-Blackwellized estimator: keep only the sampled abscissas and
     average the convex-position probability conditional on them.
 
@@ -342,10 +343,12 @@ def estimate_Q_rb(body, n, samples, seed=0) -> EstimateResult:
         raise ValueError("samples must be >= 1")
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    estimate, squares = _moments(
-        rb_conditionals(body, np.sort(pts[:, :, 0], axis=1))
-        for pts in _batches(_body_draw(body, n), samples, rng))
+    def moments(pts):
+        xs = np.sort(pts[:, :, 0], axis=1)
+        return _batch_moments(rb_conditionals(body, xs))
+
+    estimate, squares = _moments(_map_batches(
+        _body_draw(body, n), moments, samples, seed, workers))
     if samples > 1:
         std_error = math.sqrt(squares / (samples - 1) / samples)
         ci95 = (max(0.0, estimate - 1.96 * std_error),
@@ -360,23 +363,28 @@ def estimate_Q_rb(body, n, samples, seed=0) -> EstimateResult:
         std_error=std_error,
         ci95=ci95,
         seed=seed,
-        workers=1,
+        workers=workers,
     )
 
 
+def _batch_moments(values):
+    """(size, mean, sum of squared deviations from it) of a float batch:
+    exactly ``np.mean`` and the sum that ``np.var(ddof=1)`` divides by the
+    size less one."""
+    mean = float(values.mean())
+    return len(values), mean, float(((values - mean) ** 2).sum())
+
+
 def _moments(batches):
-    """(mean, sum of squared deviations from it) of float batches, merged
-    one batch at a time (Chan, Golub and LeVeque), so that memory does not
-    grow with their total size.  For one batch they are exactly ``np.mean``
-    and the sum that ``np.var(ddof=1)`` divides by the size less one."""
+    """(mean, sum of squared deviations from it) of all values, from the
+    `_batch_moments` of their batches, merged in order (Chan, Golub and
+    LeVeque).  For one batch they are that batch's."""
     count, mean, squares = 0, 0.0, 0.0
-    for values in batches:
-        size = len(values)
-        batch_mean = float(values.mean())
+    for size, batch_mean, batch_squares in batches:
         delta = batch_mean - mean
         count += size
         mean += delta * (size / count)
-        squares += (float(((values - batch_mean) ** 2).sum())
+        squares += (batch_squares
                     + delta * delta * (count - size) * (size / count))
     return mean, squares
 
@@ -399,12 +407,10 @@ def estimate_segments(segments, samples, seed=0) -> EstimateResult:
                                   "segment width")
 
     def draw(batch, rng):
-        # Row blocks of one C-order (samples, k) draw: the stream, and so
-        # the hits, do not depend on the block size.
         pts = np.empty((batch, k, 2))
         pts[:, :, 0] = xs
         pts[:, :, 1] = lows + rng.random((batch, k)) * spans
         return pts
 
-    hits = _count_hits(draw, samples, seed)
+    hits = sum(_map_batches(draw, _hit_count, samples, seed, 1))
     return _binomial_result(k, samples, hits, seed, 1)

@@ -20,8 +20,8 @@ the fork (``poly._LOCK``, say) would stay held in the child for good.  A
 caller.
 
 Every command imports `certificates` and `montecarlo`, but only `verify`
-and the plain estimator use this module, so they import it where they use
-it, and it imports all but ``os`` inside its functions: importing the
+and the estimators use this module, so they import it where they use it,
+and it imports all but ``os`` inside its functions: importing the
 command-line front end loads none of it.
 """
 

@@ -95,8 +95,7 @@ def test_polygon_slice_rule_matches_the_edge_scan(rng):
 
 def test_float_readers_name_a_field_without_float_image():
     disk = Disk((0, 0), Fraction(10) ** 400)
-    for read in (lambda: contains(disk, (0, 0)),
-                 lambda: slice_bounds(disk, np.zeros(3)),
+    for read in (lambda: slice_bounds(disk, np.zeros(3)),
                  lambda: sample_points(disk, 3, np.random.default_rng(0))):
         with pytest.raises(ValueError, match="disk radius is not finite"):
             read()
@@ -238,6 +237,24 @@ def test_contains():
     assert contains(TRI, (Fraction(1, 4), Fraction(1, 4)))
     assert not contains(TRI, (Fraction(3, 4), Fraction(3, 4)))
     assert contains(Disk((0, 0), 1), (0.5, 0.5))
+
+
+def test_contains_is_exact_for_curved_bodies():
+    # A float is the rational it equals, so a point 1e-13 outside the unit
+    # circle is outside, and one on it is inside.
+    disk = Disk((0, 0), 1)
+    assert contains(disk, (1.0, 0)) and contains(disk, (-0.5, 0.75))
+    for outside in ((1 + 1e-13, 0), (Fraction(1 + 1e-13), 0),
+                    (Fraction(3, 5), Fraction(4, 5) + Fraction(1, 10**30))):
+        assert not contains(disk, outside)
+    assert contains(disk, (Fraction(3, 5), Fraction(4, 5)))
+    # The sheared ellipse t + m.w maps w = (1, 0) to t + (2, 1/3).
+    ell = Ellipse(((2, 1), (Fraction(1, 3), 1)), (1, -2))
+    edge = (Fraction(3), Fraction(-5, 3))
+    assert contains(ell, edge)
+    assert not contains(ell, (edge[0] + Fraction(1, 10**30), edge[1]))
+    # A radius with no float image is no obstacle to the exact test.
+    assert contains(Disk((0, 0), Fraction(10) ** 400), (10.0**300, 0))
 
 
 def test_sampling_stays_inside(rng):

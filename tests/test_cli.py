@@ -643,8 +643,7 @@ def test_workers_env_default(monkeypatch, capsys):
     monkeypatch.setenv("SYLVESTER_WORKERS", "")
     assert cli.build_parser().parse_args(["estimate"]).workers == 1
     for value, message in (("junk", "invalid int value"),
-                           ("0", "at least 1"),
-                           ("1025", "at most 1024")):
+                           ("0", "at least 1")):
         monkeypatch.setenv("SYLVESTER_WORKERS", value)
         for command in ("estimate", "theorem1"):
             assert cli.main([command, "--samples", "10"]) == cli.EXIT_USAGE
@@ -656,22 +655,6 @@ def test_workers_env_default(monkeypatch, capsys):
         assert cli.main(["estimate", "--samples", "10", "--workers", "2"]) == 0
         assert cli.main(["closed-forms"]) == cli.EXIT_OK
         capsys.readouterr()
-
-
-def test_workers_cap(monkeypatch, capsys):
-    # Every worker stream is built before the first draw, so the count is
-    # capped; the cap itself runs.
-    monkeypatch.delenv("SYLVESTER_WORKERS", raising=False)
-    assert cli.main(["estimate", "--samples", "10", "--workers", "1025"]) \
-        == cli.EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("usage error: argument --workers: must be at "
-                            "most 1024, got 1025\n")
-    code, doc = run_json(capsys, ["estimate", "--samples", "2000",
-                                  "--workers", "1024"])
-    assert code == cli.EXIT_OK
-    assert doc["workers"] == 1024
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

@@ -21,10 +21,10 @@ from sylvester.bodies import (
 )
 from sylvester.montecarlo import (
     MASK_BLOCK,
+    _batch_moments,
     _binomial_result,
-    _count_hits,
+    _map_batches,
     _moments,
-    _worker_chunks,
     convex_position_mask,
     estimate_Q,
     estimate_Q_rb,
@@ -254,14 +254,15 @@ def test_rb_draws_in_batches(monkeypatch):
     assert max(sizes) <= MASK_BLOCK * n
     assert sum(sizes) == samples * n
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    streams = np.random.SeedSequence(seed).spawn(3)
     batches = []
-    for batch in (MASK_BLOCK, MASK_BLOCK, 5):
+    for batch, stream in zip((MASK_BLOCK, MASK_BLOCK, 5), streams):
+        rng = np.random.default_rng(stream)
         xs = original(DISK, batch * n, rng)[:, 0].reshape(batch, n)
         rows = np.sort(xs, axis=1)
         assert (np.diff(rows, axis=1) > 0).all()
         batches.append(spread(DISK, rows))
-    estimate, squares = _moments(batches)
+    estimate, squares = _moments(map(_batch_moments, batches))
     assert result.estimate == estimate
     assert result.std_error == math.sqrt(squares / (samples - 1) / samples)
     # The batch-by-batch moments are those of all values at once.
@@ -269,7 +270,7 @@ def test_rb_draws_in_batches(monkeypatch):
     assert estimate == pytest.approx(np.mean(values), rel=1e-15)
     assert squares / (samples - 1) == pytest.approx(np.var(values, ddof=1),
                                                     rel=1e-12)
-    one_mean, one_squares = _moments([values])
+    one_mean, one_squares = _moments([_batch_moments(values)])
     assert one_mean == np.mean(values)
     assert one_squares / (samples - 1) == np.var(values, ddof=1)
 
@@ -391,41 +392,136 @@ def test_mask_memory_follows_survivors():
     assert peak < 64 * 2**20
 
 
-def test_threads_match_sequential_chunks(monkeypatch):
-    samples, seed, workers = 30_001, 12, 3
+class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+    """A thread pool that records the size of each pool built."""
 
-    def draw(batch, rng):
-        return sample_points(SQUARE, batch * 5, rng).reshape(batch, 5, 2)
+    sizes = []
 
-    expected = sum(
-        _count_hits(draw, chunk, stream)
-        for chunk, stream in zip(
-            _worker_chunks(samples, workers),
-            np.random.SeedSequence(seed).spawn(workers),
-        )
-    )
-    pool_sizes = []
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers)
 
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
-            super().__init__(max_workers)
 
+ESTIMATORS = {
+    "plain": lambda samples, seed, workers: estimate_Q(
+        SQUARE, 5, samples, seed=seed, workers=workers),
+    "rb": lambda samples, seed, workers: estimate_Q_rb(
+        TRI, 5, samples, seed=seed, workers=workers),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+def test_results_do_not_depend_on_workers_or_cpus(monkeypatch, estimator):
+    # Every batch draws from a stream of its own and the batches are
+    # combined in batch order, so threads change nothing but the time.
+    run = ESTIMATORS[estimator]
+    samples, seed = 3 * MASK_BLOCK + 11, 12
+    monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         RecordingPool)
-    cpu_count = parallel.usable_cpus()
+    results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # provoke interleaving of the threads
     try:
-        hits = [estimate_Q(SQUARE, 5, samples, seed=seed, workers=workers).hits]
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-        hits.append(estimate_Q(SQUARE, 5, samples, seed=seed,
-                               workers=workers).hits)
+        for cpus in (1, 3):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+            for workers in (1, 2, 3, 8):
+                result = run(samples, seed, workers)
+                assert result.workers == workers
+                results.append((result.estimate, result.std_error,
+                                result.ci95, result.hits))
     finally:
         sys.setswitchinterval(interval)
+    assert results == [results[0]] * 8
+    # One pool per threaded run, of min(workers, CPUs, 4 batches) threads;
+    # none for a single CPU or a single worker.
+    assert RecordingPool.sizes == [2, 3, 3]
+
+
+def test_threads_match_serial_batches(monkeypatch):
+    # The threaded plain estimate against the batches drawn and tested by
+    # hand, one after the other, from their spawned streams.
+    samples, seed, workers = 30_001, 12, 3
+    sizes = [MASK_BLOCK] * 3 + [samples - 3 * MASK_BLOCK]
+    expected = sum(
+        int(convex_position_mask(draw(SQUARE, 5, size, stream)).sum())
+        for size, stream in zip(sizes,
+                                np.random.SeedSequence(seed).spawn(4)))
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    hits = [estimate_Q(SQUARE, 5, samples, seed=seed, workers=workers).hits]
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    hits.append(estimate_Q(SQUARE, 5, samples, seed=seed,
+                           workers=workers).hits)
     assert hits == [expected, expected]
-    # No pool for a single CPU: the chunks run in the calling thread.
-    assert pool_sizes == ([min(workers, cpu_count)] if cpu_count > 1 else [])
+    # No pool for a single CPU: the batches run in the calling thread.
+    assert RecordingPool.sizes == [2]
+
+
+def test_batch_streams_are_spawned_children(monkeypatch):
+    # Batch b draws from SeedSequence(seed, spawn_key=(b,)), the stream of
+    # SeedSequence(seed).spawn(b + 1)[b].
+    seen = []
+
+    def recording(body, count, rng):
+        seen.append(rng.random(4))
+        return np.zeros((count, 2))
+
+    monkeypatch.setattr(bodies, "sample_points", recording)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    seed = 5
+    estimate_Q(DISK, 4, 4 * MASK_BLOCK, seed=seed)
+    assert len(seen) == 4
+    for b, values in enumerate(seen):
+        child = np.random.SeedSequence(seed).spawn(b + 1)[b]
+        assert (np.random.default_rng(child).random(4) == values).all()
+
+
+def test_one_batch_builds_no_pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    for run in ESTIMATORS.values():
+        assert run(MASK_BLOCK, 3, 8).samples == MASK_BLOCK
+    assert RecordingPool.sizes == []
+
+
+def test_threads_run_a_bounded_number_of_batches_ahead(monkeypatch):
+    # Results are taken in batch order and the threads draw at most two
+    # batches each past the one taken, so memory does not follow samples.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    drawn = []
+
+    def draw(size, rng):
+        drawn.append(size)
+        return size
+
+    results = _map_batches(draw, lambda size: size, 100 * MASK_BLOCK, 0, 2)
+    assert next(results) == MASK_BLOCK
+    assert len(drawn) <= 5
+    assert sum(results) == 99 * MASK_BLOCK
+    assert len(drawn) == 100
+
+
+def test_threaded_failure_is_the_serial_one(monkeypatch):
+    # Batches 1 and 2 raise: with threads, as serially, batch 1's error
+    # surfaces.
+    original = bodies.sample_points
+
+    def failing(body, count, rng):
+        b = rng.bit_generator.seed_seq.spawn_key[0]
+        if b in (1, 2):
+            raise ValueError(f"batch {b}")
+        return original(body, count, rng)
+
+    monkeypatch.setattr(bodies, "sample_points", failing)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match="batch 1"):
+            estimate_Q(DISK, 4, 6 * MASK_BLOCK, seed=0, workers=cpus)
 
 
 def test_estimate_matches_closed_form():
@@ -461,8 +557,8 @@ def test_rb_single_sample_claims_no_certainty():
 def test_rb_interval_is_clipped_to_unit_range():
     # Two samples whose raw interval crosses 1 (square, n = 4) and 0
     # (triangle, n = 5): the reported ends stop at the range of a probability.
-    for body, n, end in ((SQUARE, 4, 1), (TRI, 5, 0)):
-        result = estimate_Q_rb(body, n, 2, seed=2)
+    for body, n, seed, end in ((SQUARE, 4, 1, 1), (TRI, 5, 2, 0)):
+        result = estimate_Q_rb(body, n, 2, seed=seed)
         e, half = result.estimate, 1.96 * result.std_error
         assert not 0 <= e + (half if end else -half) <= 1
         assert result.ci95 == (max(0.0, e - half), min(1.0, e + half))
@@ -501,14 +597,18 @@ def test_estimate_segments_comb():
 def test_estimate_segments_batches_match_one_draw():
     segs = [VerticalSegment(Fraction(k, 4), -k, 2 + k * k) for k in range(5)]
     samples, seed = 2 * MASK_BLOCK + 7, 4
-    # The unbatched estimator: one (samples, k) draw, one mask call.
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    pts = np.empty((samples, 5, 2))
-    pts[:, :, 0] = [float(s.x) for s in segs]
-    pts[:, :, 1] = np.array([float(s.y_low) for s in segs]) + rng.random(
-        (samples, 5)
-    ) * np.array([float(s.width) for s in segs])
-    hits = int(convex_position_mask(pts).sum())
+    # Each batch is one (size, k) draw from its own stream and one mask
+    # call.
+    hits = 0
+    sizes = (MASK_BLOCK, MASK_BLOCK, 7)
+    for size, stream in zip(sizes, np.random.SeedSequence(seed).spawn(3)):
+        rng = np.random.default_rng(stream)
+        pts = np.empty((size, 5, 2))
+        pts[:, :, 0] = [float(s.x) for s in segs]
+        pts[:, :, 1] = np.array([float(s.y_low) for s in segs]) + rng.random(
+            (size, 5)
+        ) * np.array([float(s.width) for s in segs])
+        hits += int(convex_position_mask(pts).sum())
     assert 0 < hits < samples
     assert estimate_segments(segs, samples, seed=seed) == _binomial_result(
         5, samples, hits, seed, 1
@@ -567,7 +667,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         estimate_Q(TRI, 4, 0)
     with pytest.raises(ValueError, match="workers"):
-        estimate_Q(TRI, 4, 100, workers=montecarlo.MAX_WORKERS + 1)
+        estimate_Q(TRI, 4, 100, workers=0)
 
 
 @pytest.mark.parametrize("count", [0, -5])
