@@ -19,11 +19,11 @@ numpy's start-up for nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import (
     DocumentError,
+    FrozenRecord,
     format_rational,
     rational_sqrt,
     read_field,
@@ -36,15 +36,14 @@ from .rationals import (
 CURVED_APPROX_VERTICES = 64
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(FrozenRecord):
     """Strictly convex polygon, counter-clockwise rational vertices."""
 
-    vertices: tuple
+    __slots__ = _fields = ("vertices",)
 
-    def __post_init__(self):
+    def __init__(self, vertices):
         cleaned = _dedupe_ring(
-            [(to_fraction(x), to_fraction(y)) for x, y in self.vertices]
+            [(to_fraction(x), to_fraction(y)) for x, y in vertices]
         )
         if len(cleaned) < 3:
             raise ValueError("polygon needs at least three distinct vertices")
@@ -55,7 +54,7 @@ class Polygon:
             a, b, c = cleaned[i], cleaned[(i + 1) % n], cleaned[(i + 2) % n]
             if _cross(a, b, c) <= 0:
                 raise ValueError("vertices are not strictly convex")
-        object.__setattr__(self, "vertices", tuple(cleaned))
+        self.vertices = tuple(cleaned)
 
     @property
     def n(self):
@@ -66,33 +65,26 @@ def triangle(a, b, c) -> Polygon:
     return Polygon((a, b, c))
 
 
-@dataclass(frozen=True)
-class Disk:
-    center: tuple
-    radius: Fraction
+class Disk(FrozenRecord):
+    __slots__ = _fields = ("center", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "center", tuple(to_fraction(v) for v in self.center)
-        )
-        object.__setattr__(self, "radius", to_fraction(self.radius))
+    def __init__(self, center, radius):
+        self.center = tuple(to_fraction(v) for v in center)
+        self.radius = to_fraction(radius)
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
 
-@dataclass(frozen=True)
-class Ellipse:
-    """Affine image of the unit disk: {t + m.w : |w| = 1} and its interior."""
+class Ellipse(FrozenRecord):
+    """Affine image of the unit disk: {t + m.w : |w| = 1} and its interior.
+    m is a 2x2 row-major rational matrix."""
 
-    m: tuple  # 2x2 row-major rational matrix
-    t: tuple
+    __slots__ = _fields = ("m", "t")
 
-    def __post_init__(self):
-        m = tuple(tuple(to_fraction(v) for v in row) for row in self.m)
-        t = tuple(to_fraction(v) for v in self.t)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "t", t)
-        if _det2(m) == 0:
+    def __init__(self, m, t):
+        self.m = tuple(tuple(to_fraction(v) for v in row) for row in m)
+        self.t = tuple(to_fraction(v) for v in t)
+        if _det2(self.m) == 0:
             raise ValueError("degenerate ellipse")
 
 
@@ -211,12 +203,14 @@ def width(body, x):
     return hi - lo
 
 
-@dataclass(frozen=True)
-class AreaValue:
+class AreaValue(FrozenRecord):
     """Rational multiple of a power of pi."""
 
-    coefficient: Fraction
-    pi_power: int
+    __slots__ = _fields = ("coefficient", "pi_power")
+
+    def __init__(self, coefficient, pi_power):
+        self.coefficient = coefficient
+        self.pi_power = pi_power
 
     def __float__(self):
         return float(self.coefficient) * math.pi ** self.pi_power
@@ -328,8 +322,10 @@ def affine_image(body, matrix, translation=(0, 0)):
 
 def contains(body, point) -> bool:
     """Closed containment, exact: a float coordinate counts as the
-    rational it equals."""
-    x, y = (to_fraction(c) for c in point)
+    rational it equals.  ValueError naming the coordinate if it is not a
+    finite number."""
+    x, y = point
+    x, y = _coordinate(x, "x"), _coordinate(y, "y")
     if isinstance(body, Polygon):
         verts = body.vertices
         n = len(verts)
@@ -343,6 +339,15 @@ def contains(body, point) -> bool:
     ((a, b), (c, d)) = m
     u, v = x - tx, y - ty
     return (d * u - b * v) ** 2 + (a * v - c * u) ** 2 <= _det2(m) ** 2
+
+
+def _coordinate(value, axis):
+    try:
+        return to_fraction(value)
+    except (ValueError, OverflowError):
+        raise ValueError(
+            f"point {axis} coordinate {value!r} is not a finite number"
+        ) from None
 
 
 # -- sampling --------------------------------------------------------------

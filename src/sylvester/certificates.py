@@ -45,13 +45,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
 from .poly import MultiPoly, as_poly, divide_exact, grid_identity_check
-from .rationals import to_fraction
+from .rationals import FrozenRecord, Record, to_fraction
 from .segments import (
     U0,
     U1,
@@ -77,12 +76,14 @@ class StructureError(Exception):
 # -- reports ---------------------------------------------------------------
 
 
-@dataclass
-class IdentityCheck:
-    name: str
-    grid_points: int
-    passed: bool
-    detail: str | None = None
+class IdentityCheck(Record):
+    __slots__ = _fields = ("name", "grid_points", "passed", "detail")
+
+    def __init__(self, name, grid_points, passed, detail=None):
+        self.name = name
+        self.grid_points = grid_points
+        self.passed = passed
+        self.detail = detail
 
     def to_json(self):
         doc = {
@@ -95,20 +96,26 @@ class IdentityCheck:
         return doc
 
 
-@dataclass
-class PositivityCheck:
-    name: str
-    passed: bool
+class PositivityCheck(Record):
+    __slots__ = _fields = ("name", "passed")
     method = "monomial-certificate"
+
+    def __init__(self, name, passed):
+        self.name = name
+        self.passed = passed
 
     def to_json(self):
         return {"name": self.name, "method": self.method, "pass": self.passed}
 
 
-@dataclass
-class CertificateReport:
-    identity_checks: list = field(default_factory=list)
-    positivity_checks: list = field(default_factory=list)
+class CertificateReport(Record):
+    __slots__ = _fields = ("identity_checks", "positivity_checks")
+
+    def __init__(self, identity_checks=None, positivity_checks=None):
+        self.identity_checks = (
+            [] if identity_checks is None else identity_checks)
+        self.positivity_checks = (
+            [] if positivity_checks is None else positivity_checks)
 
     @property
     def summary(self) -> bool:
@@ -222,15 +229,19 @@ def linear_reconstruct(var, a, value_a, b, value_b):
     return value_a + (_var(var) - a) * slope
 
 
-@dataclass(frozen=True)
-class LinHelper:
-    """Degree-1-in-one-variable polynomial given by its two endpoint values."""
+class LinHelper(FrozenRecord):
+    """Degree-1-in-one-variable polynomial given by its two endpoint values.
+    An endpoint location is a rational or a MultiPoly.  No slots: `symbolic`
+    is cached in the instance dict."""
 
-    var: str
-    end_a: object  # rational or MultiPoly endpoint location
-    value_a: MultiPoly
-    end_b: object
-    value_b: MultiPoly
+    _fields = ("var", "end_a", "value_a", "end_b", "value_b")
+
+    def __init__(self, var, end_a, value_a, end_b, value_b):
+        self.var = var
+        self.end_a = end_a
+        self.value_a = value_a
+        self.end_b = end_b
+        self.value_b = value_b
 
     @cached_property
     def symbolic(self) -> MultiPoly:

@@ -163,7 +163,7 @@ def _load_body(source):
     JSON.
 
     A named body is built once per process, and every later call returns
-    the same object; bodies are frozen dataclasses, so sharing one is safe.
+    the same object; bodies are immutable, so sharing one is safe.
     Only a process that calls `main` repeatedly gains: a one-shot CLI
     process builds the body once either way.  A file or inline JSON is
     parsed on every call.
@@ -175,6 +175,8 @@ def _load_body(source):
 
 @functools.cache
 def _named_body(name):
+    """The named body ``name``, built on the first call; it is immutable, so
+    every caller may share it."""
     return bodies.body_from_json(_NAMED_BODIES[name])
 
 

@@ -9,18 +9,19 @@ alternative (12*pi)^2 / (48*pi)^2 reading of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import PI_RATIONAL, format_rational
+from .rationals import PI_RATIONAL, FrozenRecord, format_rational
 
 
-@dataclass(frozen=True)
-class PiConstant:
+class PiConstant(FrozenRecord):
     """Value rational_part + pi2_coefficient / pi^2."""
 
-    rational_part: Fraction
-    pi2_coefficient: Fraction
+    __slots__ = _fields = ("rational_part", "pi2_coefficient")
+
+    def __init__(self, rational_part, pi2_coefficient):
+        self.rational_part = rational_part
+        self.pi2_coefficient = pi2_coefficient
 
     def value(self) -> float:
         return float(self.rational_part) + float(self.pi2_coefficient) / (

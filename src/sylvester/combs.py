@@ -17,29 +17,24 @@ agreement of the three routes is part of the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
 from .poly import MultiPoly, sum_of_products
-from .rationals import format_rational, read_field, to_fraction
+from .rationals import FrozenRecord, format_rational, read_field, to_fraction
 
 #: Largest m that `comb_poly_permutations` accepts (its cost is m!).
 PERMUTATION_CAP = 7
 
 
-@dataclass(frozen=True)
-class Comb:
+class Comb(FrozenRecord):
     """Tooth abscissas in (0,1), strictly increasing, with lengths >= 0."""
 
-    x: tuple
-    lengths: tuple
+    __slots__ = _fields = ("x", "lengths")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(to_fraction(v) for v in self.x))
-        object.__setattr__(
-            self, "lengths", tuple(to_fraction(v) for v in self.lengths)
-        )
+    def __init__(self, x, lengths):
+        self.x = tuple(to_fraction(v) for v in x)
+        self.lengths = tuple(to_fraction(v) for v in lengths)
         if len(self.x) != len(self.lengths):
             raise ValueError("abscissa / length count mismatch")
         _check_interior_abscissas(self.x)

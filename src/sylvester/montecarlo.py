@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from . import bodies
+from .rationals import FrozenRecord
 from .segments import (
     VerticalSegment,
     clamped_family,
@@ -48,19 +48,25 @@ from .segments import (
 #: Unused here; bench/tracing.py's dyadic-tie counter still reads it.
 ABSCISSA_BITS = 26
 
-@dataclass(frozen=True)
-class EstimateResult:
-    n: int
-    samples: int
-    hits: int | None
-    estimate: float
-    std_error: float
-    ci95: tuple
-    seed: int
-    workers: int
+class EstimateResult(FrozenRecord):
+    """hits is None for a Rao-Blackwellized (``--rb``) estimate."""
+
+    __slots__ = _fields = ("n", "samples", "hits", "estimate", "std_error",
+                           "ci95", "seed", "workers")
+
+    def __init__(self, n, samples, hits, estimate, std_error, ci95, seed,
+                 workers):
+        self.n = n
+        self.samples = samples
+        self.hits = hits
+        self.estimate = estimate
+        self.std_error = std_error
+        self.ci95 = ci95
+        self.seed = seed
+        self.workers = workers
 
     def to_json(self):
-        return dict(asdict(self), ci95=list(self.ci95))
+        return dict(zip(self._fields, self._values()), ci95=list(self.ci95))
 
 
 def _binomial_result(n, samples, hits, seed, workers):

@@ -32,6 +32,56 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+class Record:
+    """Base of the package's value classes.
+
+    A subclass names its fields in ``_fields``, in constructor order, and
+    sets them in its ``__init__``.  Two records are equal when they are of
+    one class and their fields are equal; the repr is ``Name(field=value,
+    ...)``.  A mutable record has no hash.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Unpickling calls the constructor, whose normalisation leaves
+        # normalised fields as they are.
+        return type(self), self._values()
+
+
+class FrozenRecord(Record):
+    """A `Record` with a hash, whose fields are set once, by ``__init__``:
+    assigning a field that is set, or any other name, raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        if name not in self._fields or hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class DocumentError(ValueError):
     """A malformed input document; the message names the offending field."""
 

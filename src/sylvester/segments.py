@@ -15,12 +15,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combs import _pivot_recurrence, comb_poly
 from .poly import MultiPoly, as_poly, sum_of_products
-from .rationals import format_rational, read_field, to_fraction
+from .rationals import FrozenRecord, format_rational, read_field, to_fraction
 
 U0, U1 = "u0", "u1"
 
@@ -29,16 +28,13 @@ class CompaError(ValueError):
     """Symmetry defect outside the admissible (Compa) set."""
 
 
-@dataclass(frozen=True)
-class VerticalSegment:
-    x: Fraction
-    y_low: Fraction
-    y_high: Fraction
+class VerticalSegment(FrozenRecord):
+    __slots__ = _fields = ("x", "y_low", "y_high")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", to_fraction(self.x))
-        object.__setattr__(self, "y_low", to_fraction(self.y_low))
-        object.__setattr__(self, "y_high", to_fraction(self.y_high))
+    def __init__(self, x, y_low, y_high):
+        self.x = to_fraction(x)
+        self.y_low = to_fraction(y_low)
+        self.y_high = to_fraction(y_high)
         if self.y_low > self.y_high:
             raise ValueError("y_low above y_high")
 
@@ -51,8 +47,7 @@ class VerticalSegment:
         return (self.y_low + self.y_high) / 2
 
 
-@dataclass(frozen=True)
-class NormalizedFamily:
+class NormalizedFamily(FrozenRecord):
     """Trapezoid + excess + defect description of a vertical-segment family.
 
     xbar runs from 0 to 1 strictly increasing; L0 and L1 are the half-widths
@@ -60,18 +55,14 @@ class NormalizedFamily:
     them); lam and beta have zero boundary entries.
     """
 
-    xbar: tuple
-    L0: Fraction
-    L1: Fraction
-    lam: tuple
-    beta: tuple
+    __slots__ = _fields = ("xbar", "L0", "L1", "lam", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "xbar", tuple(to_fraction(v) for v in self.xbar))
-        object.__setattr__(self, "L0", to_fraction(self.L0))
-        object.__setattr__(self, "L1", to_fraction(self.L1))
-        object.__setattr__(self, "lam", tuple(to_fraction(v) for v in self.lam))
-        object.__setattr__(self, "beta", tuple(to_fraction(v) for v in self.beta))
+    def __init__(self, xbar, L0, L1, lam, beta):
+        self.xbar = tuple(to_fraction(v) for v in xbar)
+        self.L0 = to_fraction(L0)
+        self.L1 = to_fraction(L1)
+        self.lam = tuple(to_fraction(v) for v in lam)
+        self.beta = tuple(to_fraction(v) for v in beta)
         if self.xbar[0] != 0 or self.xbar[-1] != 1:
             raise ValueError("normalized abscissas must run from 0 to 1")
         for a, b in zip(self.xbar, self.xbar[1:]):

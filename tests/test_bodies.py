@@ -257,6 +257,20 @@ def test_contains_is_exact_for_curved_bodies():
     assert contains(Disk((0, 0), Fraction(10) ** 400), (10.0**300, 0))
 
 
+@pytest.mark.parametrize("body", [TRI, Disk((0, 0), 1),
+                                  Ellipse(((2, 1), (0, 1)), (1, -2))],
+                         ids=["polygon", "disk", "ellipse"])
+@pytest.mark.parametrize("point, axis", [
+    ((float("nan"), 0), "x"),
+    ((0, float("inf")), "y"),
+    ((np.float64(-np.inf), 0.5), "x"),
+])
+def test_contains_names_a_coordinate_that_is_not_finite(body, point, axis):
+    match = f"point {axis} coordinate .* is not a finite number"
+    with pytest.raises(ValueError, match=match):
+        contains(body, point)
+
+
 def test_sampling_stays_inside(rng):
     gen = np.random.Generator(np.random.PCG64(5))
     for body in (TRI, PENTAGON, Disk((0, 0), 1),

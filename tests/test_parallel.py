@@ -87,11 +87,16 @@ def test_taskset_pins_to_one_cpu():
 def test_front_end_start_up_loads_no_helper_module():
     # Every command imports the front end; only verify and the plain
     # estimator need the helper, and it imports pickle and signal itself.
+    # The value classes are plain classes, so dataclasses and the inspect it
+    # imports stay unloaded too.  Only what the import adds counts: a site
+    # hook may load inspect before it (importlib.resources does on 3.13).
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, sylvester.cli\n"
-         "print([m for m in ('pickle', 'signal', 'sylvester.parallel')"
-         " if m in sys.modules])"],
+         "import sys\n"
+         "before = set(sys.modules)\n"
+         "import sylvester.cli\n"
+         "print([m for m in ('pickle', 'signal', 'sylvester.parallel',"
+         " 'dataclasses', 'inspect') if m in set(sys.modules) - before])"],
         env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
         capture_output=True, text=True, timeout=60,
     )
