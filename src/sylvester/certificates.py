@@ -29,8 +29,9 @@ outcomes, not polynomials, come back.  `verify_n5` builds a triple's
 the cone and quadratic checks there on them, so they share its tables,
 which are freed when that triple is done.  What one check alone reads, the
 l1 tables and the mirror point's table, is not kept.  The positivity
-claims do not depend on x: each distinct polynomial among them is
-certified once per call, also in parallel.
+claims do not depend on x, so `verify_n5`, not its two sub-verifiers,
+certifies them: each distinct polynomial among them once per call, in the
+one `fork_map` round that also checks the triples.
 
 Every "> 0" claim is certified on the ordered simplex
 0 < x1 < x2 < x3 < 1, mapped onto the open unit cube, by a Bernstein
@@ -591,9 +592,12 @@ _N4_BOUNDS = {
 }
 
 
-def _identity_checks(points, checks_at):
-    """One IdentityCheck per name of ``checks_at(x)``, the ordered
-    {check name: outcome} at one x point, run on the points by `fork_map`.
+def _run_checks(points, checks_at, claims=()):
+    """The report of one check run: one IdentityCheck per name of
+    ``checks_at(x)``, the ordered {check name: outcome} at one x point, and
+    one PositivityCheck per (name, expr) of ``claims``.  One `fork_map` call
+    runs the points and the distinct exprs together.
+
     An outcome is True where the check holds; a failing one is False or its
     detail string, and a check reports the detail of its first failing
     point.  No point would make every check pass vacuously, so it is an
@@ -602,17 +606,23 @@ def _identity_checks(points, checks_at):
 
     if not points:
         raise ValueError("identity checks need at least one x point")
+    distinct = list(dict.fromkeys(expr for _, expr in claims))
+    tasks = [*((checks_at, x) for x in points),
+             *((positivity_check, expr) for expr in distinct)]
+    results = fork_map(lambda task: task[0](task[1]), tasks)
     names, details = {}, {}
-    for outcomes in fork_map(checks_at, points):
+    for outcomes in results[:len(points)]:
         for name, outcome in outcomes.items():
             names[name] = None
             if outcome is not True:
                 details.setdefault(name, outcome or None)
-    return [
-        IdentityCheck(name, len(points), name not in details,
-                      details.get(name))
-        for name in names
-    ]
+    verdicts = dict(zip(distinct, results[len(points):]))
+    return CertificateReport(
+        [IdentityCheck(name, len(points), name not in details,
+                       details.get(name))
+         for name in names],
+        [PositivityCheck(name, verdicts[expr]) for name, expr in claims],
+    )
 
 
 def verify_n4(points=None) -> CertificateReport:
@@ -637,35 +647,38 @@ def verify_n4(points=None) -> CertificateReport:
             ),
         }
 
-    return CertificateReport(_identity_checks(points, checks_at))
+    return _run_checks(points, checks_at)
 
 
 def verify_n5(points=None) -> CertificateReport:
     """Certify the n = 5 cone decomposition and quadratic forms over the
-    abscissa triples ``points``, from one general integrand per triple."""
+    abscissa triples ``points``, from one general integrand per triple, and
+    the positivity claims they rest on, which do not depend on x: the Lin
+    helpers, the prefactor atoms and the Lin factors of the minors."""
     if points is None:
         points = default_x_triples()
     # Built before any fork, so that no child rebuilds a helper polynomial.
-    claims = [*_cone_claims(), *_quadratic_claims()]
+    claims = [*_lin_positivity(HELPERS, "", "on the simplex"),
+              *_prefactor_atoms(),
+              *_lin_positivity(_MINOR_G, "minor ", "factor on the simplex")]
 
     def checks_at(x):
         # Both checks of a triple read its one _Point and the two
         # differences of its one integrand, so one process runs both.
         differences = {_Point(x): symbolic_difference(x)}
-        report = verify_n5_cone(differences, positivity=False).merge(
-            verify_n5_quadratic(differences, positivity=False))
+        report = verify_n5_cone(differences).merge(
+            verify_n5_quadratic(differences))
         return {c.name: c.passed or c.detail for c in report.identity_checks}
 
-    return CertificateReport(_identity_checks(points, checks_at),
-                             _positivity_checks(claims))
+    return _run_checks(points, checks_at, claims)
 
 
-def verify_n5_cone(differences, *, positivity=True) -> CertificateReport:
+def verify_n5_cone(differences) -> CertificateReport:
     """Certify the n = 5 shaking-difference cone decomposition: the
-    l0/l1/constant split, the 18 + 6 published coefficients, the mirror
-    relation for the l0 part, and, unless ``positivity`` is false,
-    positivity of every coefficient, which holds or fails independently of
-    the triples.
+    l0/l1/constant split, the 18 + 6 published coefficients and the mirror
+    relation for the l0 part.  The positivity of the coefficients' Lin
+    helpers and prefactor atoms does not depend on x; `verify_n5`
+    certifies it.
 
     ``differences`` maps each abscissa triple to its symbolic_difference
     pair; the cone checks read the minoration, its second member."""
@@ -686,25 +699,7 @@ def verify_n5_cone(differences, *, positivity=True) -> CertificateReport:
                 d0 == _cone_poly(mirrored, P_NAMES[::-1], Q_NAMES[::-1]),
         }
 
-    return CertificateReport(
-        _identity_checks(differences, checks_at),
-        _positivity_checks(_cone_claims() if positivity else []),
-    )
-
-
-def _cone_claims():
-    return [*_lin_positivity(HELPERS, "", "on the simplex"),
-            *_prefactor_atoms()]
-
-
-def _positivity_checks(named):
-    """One PositivityCheck per (name, expr) of ``named``, certifying each
-    distinct expr once, by `fork_map`."""
-    from .parallel import fork_map
-
-    distinct = list(dict.fromkeys(expr for _, expr in named))
-    verdicts = dict(zip(distinct, fork_map(positivity_check, distinct)))
-    return [PositivityCheck(name, verdicts[expr]) for name, expr in named]
+    return _run_checks(differences, checks_at)
 
 
 def _lin_positivity(helpers, prefix, whole):
@@ -740,12 +735,12 @@ def _prefactor_atoms():
     return [(f"prefactor atom {n}", e) for n, e in atoms.items()]
 
 
-def verify_n5_quadratic(differences, *, positivity=True) -> CertificateReport:
+def verify_n5_quadratic(differences) -> CertificateReport:
     """Certify the n = 5 symmetrization-difference quadratic forms: the
     l0/l1/constant split against the published f1/f3 displays, the mirror
     rule for f2, the matrix forms, and every stated leading-principal-minor
-    factorization with, unless ``positivity`` is false, the positivity of
-    its Lin factor, which holds or fails independently of the triples.
+    factorization.  The positivity of the minors' Lin factors does not
+    depend on x; `verify_n5` certifies it.
 
     ``differences`` maps each abscissa triple to its symbolic_difference
     pair; the quadratic checks read the majoration, its first member."""
@@ -773,14 +768,7 @@ def verify_n5_quadratic(differences, *, positivity=True) -> CertificateReport:
             checks[f"minor factorization: {name}"] = ok
         return checks
 
-    return CertificateReport(
-        _identity_checks(differences, checks_at),
-        _positivity_checks(_quadratic_claims() if positivity else []),
-    )
-
-
-def _quadratic_claims():
-    return _lin_positivity(_MINOR_G, "minor ", "factor on the simplex")
+    return _run_checks(differences, checks_at)
 
 
 def _minor_endpoint_g():

@@ -216,12 +216,14 @@ def comb_probability(comb: Comb) -> Fraction:
     K/prod(l) is that probability only while each chord between sampled
     points stays inside the teeth it spans, that is, while (0, 0), the
     tops (x_i, l_i) and (1, 0) form a concave chain: every top on or above
-    the chord of its neighbours' tops.  Other combs raise ValueError.
+    the chord of its neighbours' tops.  Other combs raise ValueError, as
+    does a tooth of zero length, whose point lies on the chord from (0, 0)
+    to (1, 0).
     """
+    if any(l == 0 for l in comb.lengths):
+        raise ValueError("zero tooth length")
     if comb.m <= 1:
         return Fraction(1)
-    if any(l == 0 for l in comb.lengths):
-        raise ValueError("zero tooth length with m >= 2")
     X = [Fraction(0), *comb.x, Fraction(1)]
     L = [Fraction(0), *comb.lengths, Fraction(0)]
     for i in range(1, comb.m + 1):

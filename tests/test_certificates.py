@@ -400,6 +400,16 @@ def test_compa_violation_witness_exists():
     assert all(abs(b) <= l for b, l in zip(beta, lam))
 
 
+def test_sub_verifiers_check_identities_only():
+    differences = {x: symbolic_difference(x) for x in POINTS[:2]}
+    for verify in (verify_n5_cone, verify_n5_quadratic):
+        with pytest.raises(TypeError):
+            verify(differences, positivity=False)
+        report = verify(differences)
+        assert report.summary and report.identity_checks
+        assert report.positivity_checks == []
+
+
 def test_verify_n5_builds_each_point_once_per_call(monkeypatch, tmp_path):
     names = ("symbolic_difference", "to_slope_variables",
              "cone_coefficients_d2", "positivity_check")

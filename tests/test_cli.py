@@ -65,6 +65,15 @@ def test_comb_rejects_tops_out_of_convex_position(capsys):
     assert captured.err.startswith("error: tooth 2 (x = 1/2, l = 1/100) ")
 
 
+def test_comb_rejects_a_single_tooth_of_zero_length(capsys):
+    # Its point lies on the chord from (0, 0) to (1, 0): never convex.
+    comb = '{"x":["1/2"],"l":["0"]}'
+    assert cli.main(["comb", "--comb", comb]) == cli.EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: zero tooth length\n"
+
+
 def test_comb_from_file(tmp_path, capsys):
     path = tmp_path / "comb.json"
     path.write_text(COMB)
@@ -371,7 +380,8 @@ def test_verify_golden_matches_schema():
 
 def test_uncertified_positivity_fails_closed(capsys, monkeypatch):
     x1, x2 = MultiPoly.variable("x1"), MultiPoly.variable("x2")
-    [check] = certificates._positivity_checks([("t", x1 - x2)])
+    check = certificates.PositivityCheck(
+        "t", certificates.positivity_check(x1 - x2))
     assert check.to_json() == {
         "name": "t", "method": "monomial-certificate", "pass": False,
     }

@@ -131,8 +131,21 @@ def test_validation():
         Comb((Fraction(0),), (1,))
     with pytest.raises(ValueError):
         Comb((Fraction(1, 2),), (-1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^zero tooth length$"):
         comb_probability(Comb((Fraction(1, 3), Fraction(2, 3)), (0, 1)))
+
+
+def test_single_tooth_of_zero_length_is_rejected():
+    # The tooth's point lies on the chord from (0, 0) to (1, 0), so the
+    # three points are collinear in every draw.
+    tooth = Comb((Fraction(1, 2),), (0,))
+    with pytest.raises(ValueError, match="^zero tooth length$"):
+        comb_probability(tooth)
+    est = estimate_segments([VerticalSegment(0, 0, 0),
+                             VerticalSegment(Fraction(1, 2), 0, 0),
+                             VerticalSegment(1, 0, 0)], 1000, seed=0)
+    assert est.hits == 0
+    assert comb_probability(Comb((), ())) == 1
 
 
 def test_probability_needs_concave_tops():

@@ -241,3 +241,30 @@ def test_failure_detail_is_the_first_failing_point(cpus, monkeypatch):
     [check] = [c for c in reports[0]["identity_checks"]
                if c["name"] == "n5 cone: constant part (18 coefficients)"]
     assert check["detail"] == "mismatched coefficients: (1, 1, 1)"
+
+
+def test_one_fork_round_per_entry_point(cpus, monkeypatch, tmp_path):
+    # Each call of fork_map, in any process, appends its item count.
+    log = tmp_path / "items"
+    log.write_text("")
+    original = parallel.fork_map
+
+    def counted(fn, items):
+        items = list(items)
+        with open(log, "a") as out:
+            out.write(f"{len(items)}\n")
+        return original(fn, items)
+
+    def rounds():
+        counts = [int(n) for n in log.read_text().split()]
+        log.write_text("")
+        return [n for n in counts if n > 1]
+
+    monkeypatch.setattr(parallel, "fork_map", counted)
+    cpus(3)
+    assert certificates.verify_n5().summary
+    # the 30 triples and the 44 distinct positivity claims
+    assert rounds() == [30 + 44]
+    assert certificates.verify_all().summary
+    assert rounds() == [21, 30 + 44]
+    assert_no_children()
