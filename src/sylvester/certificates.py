@@ -21,17 +21,18 @@ them off the monomials they alone own.
 Each abscissa point of a verify call is a `_Point`: a tuple of its
 abscissas that also carries what the checks derive from x alone, built on
 first use and kept as long as the point.  Those are the Lin helper values
-at x, the slope map lam -> p, beta -> q, and the cone table.  The points
-are independent, so `parallel.fork_map` shares them out among the usable
-CPUs: all the work of one point runs in one process, and only the check
-outcomes, not polynomials, come back.  `verify_n5` builds a triple's
-`_Point` and both its differences in the process that checks it, and runs
-the cone and quadratic checks there on them, so they share its tables,
-which are freed when that triple is done.  What one check alone reads, the
-l1 tables and the mirror point's table, is not kept.  The positivity
-claims do not depend on x, so `verify_n5`, not its two sub-verifiers,
-certifies them: each distinct polynomial among them once per call, in the
-one `fork_map` round that also checks the triples.
+at x, each evaluated on first read, the slope map lam -> p, beta -> q, and
+the cone table, built row by row.  The points are independent, so
+`parallel.fork_map` shares them out among the usable CPUs: all the work of
+one point runs in one process, and only the check outcomes, not
+polynomials, come back.  `verify_n5` builds a triple's `_Point` and both
+its differences in the process that checks it, and runs the cone and
+quadratic checks there on them, so they share its tables, which are freed
+when that triple is done.  What one check alone reads, the l1 tables and
+the mirror point's row 3, the only row the l0 check reads, is not kept.
+The positivity claims do not depend on x, so `verify_n5`, not its two
+sub-verifiers, certifies them: each distinct polynomial among them once
+per call, in the one `fork_map` round that also checks the triples.
 
 Every "> 0" claim is certified on the ordered simplex
 0 < x1 < x2 < x3 < 1, mapped onto the open unit cube, by a Bernstein
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -178,16 +180,8 @@ def symbolic_difference(x):
 def _check_structure(diff, N, kind):
     if diff.total_degree() > N + 2:
         raise StructureError("degree cap exceeded")
-    beta_names = [f"beta{j}" for j in range(1, N + 1)]
-    variables = diff.variables
-    for exps in diff.terms:
-        beta_deg = sum(
-            e
-            for name, e in zip(variables, exps)
-            if name in beta_names
-        )
-        if beta_deg % 2:
-            raise StructureError("odd beta-degree term survived")
+    if diff.has_odd_total([f"beta{j}" for j in range(1, N + 1)]):
+        raise StructureError("odd beta-degree term survived")
     absent = {U0, U1}
     if kind == "majoration" and N == 2:
         absent |= {"l0", "l1"}
@@ -291,7 +285,9 @@ HELPERS = _helpers()
 
 
 class _Point(tuple):
-    """Abscissas that carry the data the checks derive from them alone.
+    """Abscissas that carry the data the checks derive from them alone: the
+    Lin helper values at x, each evaluated on first read (`_LinValues`),
+    the slope map lam -> p, beta -> q, and the 18-entry cone table.
 
     Each field is built on first use and lives as long as the point, so a
     caller that passes one point to several checks builds each table once.
@@ -302,7 +298,7 @@ class _Point(tuple):
 
     @cached_property
     def helper_values(self):
-        return _lin_values(HELPERS, self)
+        return _LinValues(HELPERS, self)
 
     @cached_property
     def slopes(self):
@@ -328,31 +324,66 @@ def _point(x):
 # -- published coefficient tables (evaluated at numeric x) -----------------
 
 
-def _lin_values(helpers, x):
-    xs = dict(zip(XVARS, x))
-    return {name: h.symbolic.evaluate(xs) for name, h in helpers.items()}
+class _LinValues(Mapping):
+    """{name: value at x} of the Lin helpers ``helpers``.  A helper is
+    evaluated on the first read of a name it has, once however many names
+    share it."""
+
+    def __init__(self, helpers, x):
+        self._helpers = helpers
+        self._xs = dict(zip(XVARS, x))
+        self._values = {}  # id of a helper -> its value
+
+    def __getitem__(self, name):
+        h = self._helpers[name]
+        value = self._values.get(id(h))
+        if value is None:
+            value = self._values[id(h)] = h.symbolic.evaluate(self._xs)
+        return value
+
+    def __iter__(self):
+        return iter(self._helpers)
+
+    def __len__(self):
+        return len(self._helpers)
 
 
 def cone_coefficients_d2(x):
     """The 18 coefficients c_{k,(i,j)} of the shaken-difference constant
     part, keyed by (k, i, j) with i <= j."""
     x = _point(x)
+    return {key: c for k in (1, 2, 3) for key, c in cone_row(x, k).items()}
+
+
+def cone_row(x, k):
+    """Row k of `cone_coefficients_d2`: its 6 entries (k, i, j), which read
+    only the Lin helper values they name."""
+    x = _point(x)
     x1, x2, x3 = x
     P = x.helper_values
+    if k == 1:
+        return {
+            (1, 1, 1): 2 * x1**3 * (1 - x3) * (1 - x2) * (x3 - x1) / x3,
+            (1, 1, 2): P["P0"] * (1 - x3) * x1**2 / x3,
+            (1, 1, 3): 2 * x1**2 * x2 * (1 - x3) ** 2 * (x3 - x1) / x3,
+            (1, 2, 2): 2 * P["P1"] * (1 - x3) * x1 / (x3 * (1 - x1)),
+            (1, 2, 3): 2 * P["P2"] * (1 - x3) ** 2 * x1 / (x3 * (1 - x1)),
+            (1, 3, 3):
+                2 * P["P3"] * (1 - x3) ** 2 * x1 / ((1 - x2) * (1 - x1)),
+        }
+    if k == 2:
+        return {
+            (2, 1, 1): x1**2 * (1 - x3) * P["P4"] / x3,
+            (2, 1, 2):
+                2 * (1 - x2) * x1**2 * (1 - x3) * P["P5"] / (x3 * (1 - x1)),
+            (2, 1, 3): 2 * x1**2 * (1 - x3) ** 2 * P["P5"] / (x3 * (1 - x1)),
+            (2, 2, 2): (1 - x3) * x1 * P["P0"] * P["P5"]
+            / (x3 * (1 - x1) * (x3 - x1)),
+            (2, 2, 3):
+                2 * (1 - x3) ** 2 * x1 * x2 * P["P5"] / (x3 * (1 - x1)),
+            (2, 3, 3): (1 - x3) ** 2 * x1 * P["P4"] / (1 - x1),
+        }
     return {
-        (1, 1, 1): 2 * x1**3 * (1 - x3) * (1 - x2) * (x3 - x1) / x3,
-        (1, 1, 2): P["P0"] * (1 - x3) * x1**2 / x3,
-        (1, 1, 3): 2 * x1**2 * x2 * (1 - x3) ** 2 * (x3 - x1) / x3,
-        (1, 2, 2): 2 * P["P1"] * (1 - x3) * x1 / (x3 * (1 - x1)),
-        (1, 2, 3): 2 * P["P2"] * (1 - x3) ** 2 * x1 / (x3 * (1 - x1)),
-        (1, 3, 3): 2 * P["P3"] * (1 - x3) ** 2 * x1 / ((1 - x2) * (1 - x1)),
-        (2, 1, 1): x1**2 * (1 - x3) * P["P4"] / x3,
-        (2, 1, 2): 2 * (1 - x2) * x1**2 * (1 - x3) * P["P5"] / (x3 * (1 - x1)),
-        (2, 1, 3): 2 * x1**2 * (1 - x3) ** 2 * P["P5"] / (x3 * (1 - x1)),
-        (2, 2, 2): (1 - x3) * x1 * P["P0"] * P["P5"]
-        / (x3 * (1 - x1) * (x3 - x1)),
-        (2, 2, 3): 2 * (1 - x3) ** 2 * x1 * x2 * P["P5"] / (x3 * (1 - x1)),
-        (2, 3, 3): (1 - x3) ** 2 * x1 * P["P4"] / (1 - x1),
         (3, 1, 1): 2 * x1**2 * (1 - x3) * P["P6"] / (x2 * x3),
         (3, 1, 2): 2 * x1**2 * (1 - x3) * P["P7"] / (x3 * (1 - x1)),
         (3, 1, 3): 2 * (1 - x3) ** 2 * (1 - x2) * (x3 - x1) * x1**2 / (1 - x1),
@@ -380,19 +411,21 @@ def _table_form(table, signed, lead=()):
     with no lead_k for (i, j) keys; ``lead`` and each u are names of three
     symbols.  For one (1, u) that is u^T M u, M the symmetric matrix of the
     4 c_ij, or for (k, i, j) keys sum_k lead_k u^T M^(k) u, built as one
-    MultiPoly straight from its terms."""
+    MultiPoly straight from its integer numerators over the lcm of the
+    entries' denominators."""
     variables = tuple(dict.fromkeys([*lead, *(v for _, u in signed for v in u)]))
     index = {v: n for n, v in enumerate(variables)}
-    terms = {}
+    den = math.lcm(*(c.denominator for c in table.values()))
+    nums = {}
     for (*k, i, j), c in table.items():
-        weight = (4 if i == j else 8) * c
+        weight = (4 if i == j else 8) * c.numerator * (den // c.denominator)
         for sign, u in signed:
             exps = [0] * len(variables)
             for name in (*(lead[m - 1] for m in k), u[i - 1], u[j - 1]):
                 exps[index[name]] += 1
             exps = tuple(exps)
-            terms[exps] = terms.get(exps, 0) + sign * weight
-    return MultiPoly(variables, terms)
+            nums[exps] = nums.get(exps, 0) + sign * weight
+    return MultiPoly.from_numerators(variables, nums, den)
 
 
 def _cone_poly(table, p=P_NAMES, q=Q_NAMES):
@@ -536,17 +569,16 @@ def _bernstein_nonnegative(cube):
     names = sorted(cube.used_variables())
     degrees = [cube.degree(v) for v in names]
     homs = [f"{v}'" for v in names]
-    terms = {
-        e + tuple(d - k for d, k in zip(degrees, e)): c
-        for e, c in cube.with_variables(names).terms.items()
-    }
+    nums, den = cube.with_variables(names).numerators()
+    terms = {e + tuple(d - k for d, k in zip(degrees, e)): c
+             for e, c in nums.items()}
     axes = [_var(v) for v in names]
-    form = MultiPoly(names + homs, terms).substitute(
+    form = MultiPoly.from_numerators(names + homs, terms, den).substitute(
         {w: 1 + v for w, v in zip(homs, axes)}
     )
     lift = math.prod(1 + v for v in axes)
     for _ in range(_ELEVATIONS + 1):
-        if all(c >= 0 for c in form.terms.values()):
+        if form.has_nonnegative_coefficients():
             return True
         form = form * lift
     return False
@@ -689,7 +721,7 @@ def verify_n5_cone(differences) -> CertificateReport:
         x = _point(x)
         d0, d1, d2 = _split_l0_l1(to_slope_variables(differences[x][1], x))
         mirror = mirror_x(x)
-        mirrored = _l1_coefficients(cone_coefficients_d2(mirror), mirror)
+        mirrored = _l1_coefficients(cone_row(mirror, 3), mirror)
         return {
             "n5 cone: constant part (18 coefficients)":
                 _cone_outcome(d2, x.table),
@@ -811,7 +843,7 @@ def _check_minor_factorizations(x, ms):
     x = _point(x)
     x1, x2, x3 = x
     P = x.helper_values
-    g = _lin_values(_MINOR_G, x)
+    g = _LinValues(_MINOR_G, x)
     # N and M1 are multiples s M^(1), whose k-th leading minors are s^k
     # times those of M^(1).
     s_n = x3 / (4 * x1**2 * (1 - x3) * (x3 - x1))

@@ -10,7 +10,14 @@ canonical, so equality and hashing compare it directly.  A label is for
 display only: ``variables`` is the one the constructor or ``with_variables``
 set on that object, else the sorted names in use, as arithmetic results
 carry none.  ``terms`` is a read-only {exponent tuple over ``variables``:
-Fraction} view, so no output depends on the field layout or operand order.
+Fraction} view, so no output depends on the field layout or operand order;
+``numerators`` and ``from_numerators`` give and take the same terms as
+integers over the common denominator, with no Fraction per term.
+
+A field is one byte, and its guard bit is 0 in every key, so a key's
+bytes are its exponents: a term's total degree is its key's byte sum, and
+the parity of its degree sum in some variables is that of the key's set
+bits among their fields' lowest bits.
 
 The exact kernel does each term's work once.  ``substitute`` groups the
 terms by their exponents in the replaced variables: a variable replaced by
@@ -158,6 +165,17 @@ class MultiPoly:
         self._den = den
         self._hash = None
 
+    @classmethod
+    def from_numerators(cls, variables, nums, den=1):
+        """The polynomial labelled ``variables`` whose terms are ``nums``
+        over ``den``: ``nums`` maps exponent tuples over ``variables`` to
+        ints, ``den`` is a positive int; zeros are dropped."""
+        labels = tuple(variables)
+        offsets = [_offset(name) for name in labels]
+        p = _make({_pack(offsets, e): c for e, c in nums.items()}, den)
+        p._labels = labels
+        return p
+
     def __reduce__(self):
         # Field offsets differ between processes; pickle exponent tuples.
         return MultiPoly, (self.variables, dict(self.terms))
@@ -203,7 +221,19 @@ class MultiPoly:
         return max((e >> s & _FIELD for e in self._nums), default=0)
 
     def total_degree(self) -> int:
-        return max(map(sum, self.terms), default=0)
+        """The largest total degree of a term: a key's byte sum, 0 for the
+        zero polynomial."""
+        return max((sum(e.to_bytes(e.bit_length() + 7 >> 3, "little"))
+                    for e in self._nums), default=0)
+
+    def numerators(self):
+        """(the {exponent tuple over ``variables``: int} numerators, their
+        positive common denominator), so that ``from_numerators`` rebuilds
+        the polynomial."""
+        return dict(zip(self.terms, self._nums.values())), self._den
+
+    def has_nonnegative_coefficients(self) -> bool:
+        return all(c >= 0 for c in self._nums.values())
 
     def used_variables(self):
         present = reduce(or_, self._nums, 0)
@@ -215,6 +245,12 @@ class MultiPoly:
         odd = sum(1 << _OFFSETS[v] for v in set(names) if v in _OFFSETS)
         nums = {e: c for e, c in self._nums.items() if not e & odd}
         return _make(nums, self._den)
+
+    def has_odd_total(self, names):
+        """Whether the degrees of some term in the named variables add up
+        to an odd number: the parity of the key's set low bits there."""
+        low = sum(1 << _OFFSETS[v] for v in set(names) if v in _OFFSETS)
+        return any((e & low).bit_count() & 1 for e in self._nums)
 
     # -- variable labels ---------------------------------------------------
 

@@ -154,6 +154,34 @@ def test_nonnegativity_spot_checks():
                 assert diff.evaluate(point) >= 0
 
 
+def test_structure_check_degree_cap():
+    for N in (2, 3):
+        at_cap = v("l1") * v("lam1") ** (N - 1) * v("beta1") ** 2
+        certs._check_structure(at_cap, N, "minoration")
+        for above in (at_cap * v("lam2"), v("l0") * v("lam1") ** (N + 2)):
+            assert above.total_degree() == N + 3
+            with pytest.raises(certs.StructureError,
+                               match="degree cap exceeded"):
+                certs._check_structure(above, N, "minoration")
+
+
+@pytest.mark.parametrize("factors, odd", [
+    (("beta1", "beta2", "beta3"), True),
+    (("beta1", "beta2", "beta2"), True),
+    (("beta1", "beta2"), False),
+    (("beta1", "beta1", "beta2", "beta2"), False),
+])
+def test_structure_check_odd_total_beta_degree(factors, odd):
+    # The parity is that of the sum over all beta fields, not of each one.
+    diff = math.prod(map(v, factors), start=v("lam1")) + v("l0")
+    if odd:
+        with pytest.raises(certs.StructureError,
+                           match="odd beta-degree term survived"):
+            certs._check_structure(diff, 3, "minoration")
+    else:
+        certs._check_structure(diff, 3, "minoration")
+
+
 def test_invalid_x_rejected():
     with pytest.raises(ValueError):
         symbolic_difference((Fraction(2, 3), Fraction(1, 3)))
@@ -201,16 +229,70 @@ def test_verify_n5_cone_passes():
     assert report.summary
 
 
-def test_verify_n5_cone_perturbed_coefficient(monkeypatch):
-    original = certs.cone_coefficients_d2
+class ReadLog(dict):
+    """A helper table that records the names read from it."""
 
-    def perturbed(x):
-        table = original(x)
-        table[(1, 1, 1)] = table[(1, 1, 1)] + 1
-        return table
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def test_mirror_row_3_alone_matches_the_full_table(monkeypatch):
+    helpers = ReadLog(HELPERS)
+    monkeypatch.setattr(certs, "HELPERS", helpers)
+    for x in default_x_triples():
+        mirror = mirror_x(x)
+        helpers.read.clear()
+        row = certs.cone_row(mirror, 3)
+        assert helpers.read == {"P0", "P6", "P7", "P8"}
+        table = certs.cone_coefficients_d2(mirror)
+        assert row == {key: c for key, c in table.items() if key[0] == 3}
+        assert len(table) == 18 and helpers.read == set(HELPERS)
+
+
+def test_minor_lin_values_evaluate_each_factor_once(monkeypatch):
+    evaluate = MultiPoly.evaluate
+    calls = []
+
+    def counted(self, assignment):
+        calls.append(self)
+        return evaluate(self, assignment)
+
+    monkeypatch.setattr(MultiPoly, "evaluate", counted)
+    for x in default_x_triples():
+        calls.clear()
+        values = certs._LinValues(certs._MINOR_G, x)
+        xs = dict(zip(certs.XVARS, x))
+        expected = {name: evaluate(h.symbolic, xs)
+                    for name, h in certs._MINOR_G.items()}
+        assert not calls  # nothing is evaluated before it is read
+        assert dict(values) == expected
+        # N[2], M1[2] and M2[2] share one factor
+        assert len(calls) == len({id(h) for h in certs._MINOR_G.values()}) == 3
+
+
+def test_verify_n5_cone_perturbed_coefficient(monkeypatch):
+    # The table is built row by row, and the mirror point builds row 3
+    # alone, so the row builder is what every cone check reads.
+    original = certs.cone_row
+
+    def perturb(deltas_at):
+        """Add deltas_at(x), {key: delta}, to the entries of every row."""
+        def perturbed(x, k):
+            row = original(x, k)
+            for key, delta in deltas_at(x).items():
+                if key in row:
+                    row[key] += delta
+            return row
+
+        monkeypatch.setattr(certs, "cone_row", perturbed)
 
     differences = {x: symbolic_difference(x) for x in POINTS[:2]}
-    monkeypatch.setattr(certs, "cone_coefficients_d2", perturbed)
+    perturb(lambda x: {(1, 1, 1): 1})
     report = certs.verify_n5_cone(differences)
     failed = [c for c in report.identity_checks if not c.passed]
     assert failed
@@ -222,25 +304,14 @@ def test_verify_n5_cone_perturbed_coefficient(monkeypatch):
                 if not c.passed}
 
     # The detail comes from the first failing point.
-    def perturbed_per_point(x):
-        table = original(x)
-        key = (1, 1, 1) if tuple(x) == POINTS[0] else (2, 2, 2)
-        table[key] = table[key] + 1
-        return table
-
-    monkeypatch.setattr(certs, "cone_coefficients_d2", perturbed_per_point)
+    perturb(lambda x: {(1, 1, 1) if tuple(x) == POINTS[0] else (2, 2, 2): 1})
     assert failed_checks()["n5 cone: constant part (18 coefficients)"] == (
         "mismatched coefficients: (1, 1, 1)"
     )
 
     # Row 3 of the constant part also gives the l1 table, and through the
     # mirror point the l0 part.
-    def perturbed_row3(x):
-        table = original(x)
-        table[(3, 1, 2)] = table[(3, 1, 2)] + Fraction(1, 3)
-        return table
-
-    monkeypatch.setattr(certs, "cone_coefficients_d2", perturbed_row3)
+    perturb(lambda x: {(3, 1, 2): Fraction(1, 3)})
     assert failed_checks() == {
         "n5 cone: constant part (18 coefficients)":
             "mismatched coefficients: (3, 1, 2)",
@@ -250,7 +321,7 @@ def test_verify_n5_cone_perturbed_coefficient(monkeypatch):
 
     # p1^3 alone, without its -p1 q1^2 partner, lies outside the span of
     # the p_k (p_i p_j - q_i q_j).
-    monkeypatch.setattr(certs, "cone_coefficients_d2", original)
+    monkeypatch.setattr(certs, "cone_row", original)
     slopes = certs.to_slope_variables
     monkeypatch.setattr(certs, "to_slope_variables",
                         lambda diff, x: slopes(diff, x) + v("p1") ** 3)
@@ -421,8 +492,8 @@ def test_verify_n5_builds_each_point_once_per_call(monkeypatch, tmp_path):
         assert counts["symbolic_difference"] == 30
         # one substitution per difference: the minoration and the majoration
         assert counts["to_slope_variables"] == 60
-        # at each triple and at its mirror point
-        assert counts["cone_coefficients_d2"] <= 60
+        # at each triple; its mirror point builds row 3 alone
+        assert counts["cone_coefficients_d2"] == 30
         assert counts["positivity_check"] < len(report.positivity_checks)
         gc.collect()
         assert not any(isinstance(o, certs._Point) for o in gc.get_objects())

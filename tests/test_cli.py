@@ -484,18 +484,22 @@ def test_structure_error_on_minoration_path_exits_3(capsys, monkeypatch):
 
 
 def test_structure_check_survives_optimize_flag():
-    script = (
-        "import sylvester.certificates as c\n"
-        "from sylvester.poly import MultiPoly\n"
-        "c._check_structure(MultiPoly.variable('beta1'), 2, 'minoration')\n"
-    )
+    # An odd beta degree, and a term of total degree N + 3 for N = 2.
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode != 0
-    assert "StructureError: odd beta-degree term survived" in proc.stderr
+    for diff, message in (("v('beta1')", "odd beta-degree term survived"),
+                          ("v('l0') * v('lam1') ** 4", "degree cap exceeded")):
+        script = (
+            "import sylvester.certificates as c\n"
+            "from sylvester.poly import MultiPoly\n"
+            "v = MultiPoly.variable\n"
+            f"c._check_structure({diff}, 2, 'minoration')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert f"StructureError: {message}" in proc.stderr
 
 
 def test_closed_stdout_pipe_is_not_an_error():

@@ -7,7 +7,7 @@ import threading
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from pathlib import Path
 
@@ -442,6 +442,77 @@ def test_exponent_overflow_raises():
             overflow()
     assert (MultiPoly(("x", "y"), {(1, MAX_EXPONENT): 2})
             == 2 * x * top.substitute({"x": y}))
+
+
+# -- the packed-key helpers against their tuple and Fraction definitions -------
+
+#: "w" is a label no term need use.
+PACKED_NAMES = (*NAMES, "w")
+exponents = st.one_of(st.integers(0, 3),
+                      st.integers(MAX_EXPONENT - 1, MAX_EXPONENT))
+
+
+@st.composite
+def labelled_terms(draw):
+    """(variables, {exponent tuple: Fraction}): zero, constant or not, with
+    zero and negative coefficients and exponents up to MAX_EXPONENT."""
+    variables = draw(st.permutations(PACKED_NAMES))[: draw(st.integers(0, 4))]
+    exps = st.tuples(*[exponents] * len(variables))
+    return tuple(variables), draw(st.dictionaries(exps, rationals, max_size=5))
+
+
+@PROPERTY
+@given(labelled_terms(), st.integers(1, 6))
+def test_from_numerators_matches_the_fraction_constructor(labelled, scale):
+    variables, terms = labelled
+    p = MultiPoly(variables, terms)
+    den = scale * lcm(*(c.denominator for c in terms.values()))
+    q = MultiPoly.from_numerators(
+        variables, {e: int(c * den) for e, c in terms.items()}, den)
+    assert q == p and canonical(q)
+    assert q.variables == p.variables == variables
+    assert q.terms == p.terms
+    nums, den = p.numerators()
+    assert den > 0 and all(type(c) is int and c for c in nums.values())
+    assert {e: Fraction(c, den) for e, c in nums.items()} == p.terms
+    r = MultiPoly.from_numerators(p.variables, nums, den)
+    assert r == p and r.variables == variables
+
+
+@PROPERTY
+@given(labelled_terms())
+def test_packed_total_degree_and_sign(labelled):
+    p = MultiPoly(*labelled)
+    assert p.total_degree() == max(map(sum, p.terms), default=0)
+    assert p.has_nonnegative_coefficients() == all(
+        c >= 0 for c in p.terms.values())
+
+
+@PROPERTY
+@given(labelled_terms(),
+       st.sets(st.sampled_from((*PACKED_NAMES, "never placed"))))
+def test_has_odd_total_is_the_parity_of_the_exponent_sum(labelled, names):
+    p = MultiPoly(*labelled)
+    positions = [n for n, name in enumerate(p.variables) if name in names]
+    assert p.has_odd_total(names) == any(
+        sum(exps[n] for n in positions) % 2 for exps in p.terms)
+
+
+def test_packed_helpers_at_the_edges():
+    x, y, z = v("x"), v("y"), v("z")
+    top = (x * y * z) ** MAX_EXPONENT  # 3 * 127 does not fit in one byte
+    assert top.total_degree() == 3 * MAX_EXPONENT
+    assert top.has_odd_total(("x", "y", "z")) and not top.has_odd_total(("x", "y"))
+    zero = MultiPoly.constant(0).with_variables(("x", "w"))
+    assert zero.total_degree() == 0 and not zero.has_odd_total(("x", "w"))
+    assert zero.has_nonnegative_coefficients()
+    assert zero.numerators() == ({}, 1)
+    assert MultiPoly.constant(Fraction(-3, 4)).numerators() == ({(): -3}, 4)
+    assert not (x - Fraction(1, 2) * y).has_nonnegative_coefficients()
+    with pytest.raises(OverflowError):
+        MultiPoly.from_numerators(("x",), {(MAX_EXPONENT + 1,): 1})
+    with pytest.raises(ValueError):
+        MultiPoly.from_numerators(("x", "y"), {(1,): 1})
 
 
 #: Loads ``sylvester.poly`` alone, so that no import-time table of the
