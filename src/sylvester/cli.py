@@ -53,16 +53,6 @@ def _int_at_least(minimum):
     return parse
 
 
-def _workers(text):
-    """--workers' type: an int of at least 1, the most threads an estimate
-    may use.  argparse passes its string default through it on every
-    parse, so a reused parser reads SYLVESTER_WORKERS afresh, and a bad
-    value there is a usage error like a bad --workers."""
-    if text == "$SYLVESTER_WORKERS":
-        text = os.environ.get("SYLVESTER_WORKERS") or "1"
-    return _int_at_least(1)(text)
-
-
 def build_parser():
     parser = _Parser(
         prog="sylvester",
@@ -84,11 +74,9 @@ def build_parser():
         if mc:
             p.add_argument("--seed", type=_int_at_least(0), default=0)
             p.add_argument("--samples", type=_int_at_least(1), default=10_000)
-            p.add_argument("--workers", type=_workers,
-                           default="$SYLVESTER_WORKERS",
+            p.add_argument("--workers", type=_int_at_least(1), default=1,
                            help="most threads, at most one per CPU; the "
-                                "output does not depend on it (default: "
-                                "$SYLVESTER_WORKERS or 1)")
+                                "output does not depend on it")
 
     p = sub.add_parser("comb", help="exact comb probability")
     p.add_argument("--comb", required=True,
@@ -402,11 +390,10 @@ def main(argv=None) -> int:
     """Run one command; return its exit code.
 
     ``main`` may be called repeatedly in one process.  The first call
-    builds the parser and later calls reuse it; ``SYLVESTER_WORKERS`` is
-    still read on every call.  Each named body (``--body square`` ...) is
-    likewise built once and shared, which is safe because bodies are
-    immutable.  A one-shot CLI process builds each once either way, so it
-    gains nothing from the reuse.
+    builds the parser and later calls reuse it.  Each named body
+    (``--body square`` ...) is likewise built once and shared, which is
+    safe because bodies are immutable.  A one-shot CLI process builds each
+    once either way, so it gains nothing from the reuse.
     """
     global _PARSER
     if _PARSER is None:

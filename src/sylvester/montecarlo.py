@@ -239,7 +239,10 @@ def _map_batches(draw, reduce, samples, seed, workers):
     with one, no pool is built.  The threads run at most two batches each
     ahead of the one yielded next, so memory does not grow with
     ``samples``, and a failing batch raises in its turn, as serially.
+    A ``samples`` or ``workers`` below 1 raises ValueError before any draw.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     import threading
@@ -298,8 +301,6 @@ def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
     depends on (seed, samples) only, and ``workers`` >= 1 caps threads."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     hits = sum(_map_batches(_body_draw(body, n), _hit_count, samples, seed,
                             workers))
     return _binomial_result(n, samples, hits, seed, workers)
@@ -320,10 +321,11 @@ def rb_conditionals(body, rows):
     abscissa array, n in {3, 4, 5}, all rows at once.
 
     Each abscissa is first clamped to the support.  The result is within
-    1e-12 of the exact conditional at the clamped abscissas; a row with a
-    repeated abscissa raises ValueError, and a family outside the
-    admissible set by more than rounding raises CompaError.  ``rows`` is
-    transposed once, into `segment_probabilities`' (n, S) layout.
+    1e-12 of the exact conditional at the clamped abscissas, however thin
+    or tall the body; a row with a repeated abscissa raises ValueError,
+    and a family outside the admissible set by more than rounding raises
+    CompaError.  ``rows`` is transposed once, into
+    `segment_probabilities`' (n, S) layout.
     """
     import numpy as np
 
@@ -345,8 +347,6 @@ def estimate_Q_rb(body, n, samples, seed=0, workers=1) -> EstimateResult:
     """
     if n not in (3, 4, 5):
         raise ValueError("conditional estimator supports n in {3, 4, 5}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     import numpy as np
 
     def moments(pts):
@@ -401,8 +401,6 @@ def estimate_segments(segments, samples, seed=0) -> EstimateResult:
     k = len(segments)
     if k < 3:
         raise ValueError("need at least three segments")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     import numpy as np
 
     xs = bodies._finite_floats([s.x for s in segments], "segment abscissa")

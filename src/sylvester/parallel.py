@@ -19,6 +19,12 @@ the fork (``poly._LOCK``, say) would stay held in the child for good.  A
 ``pipe`` or ``fork`` that fails (``OSError``) leaves its stride to the
 caller.
 
+The thread rule counts Python threads, not OS threads, and ignores
+whether numpy is loaded: numpy starts an OS thread at import, which the
+pure-Python exact work given here never calls into, and either other rule
+would make a caller that imported numpy first, such as a benchmark
+harness running ``verify`` in its own process, run serially.
+
 Every command imports `certificates` and `montecarlo`, but only `verify`
 and the estimators use this module, so they import it where they use it,
 and it imports all but ``os`` inside its functions: importing the

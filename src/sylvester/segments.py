@@ -365,7 +365,8 @@ def segment_probabilities(x, bottom, top):
     The split sum of `convexity_integrand` has degree at most N <= 3 in
     each of u0 and u1, so the two-point Gauss-Legendre rule u = +-L/sqrt(3)
     in each averages it exactly; it is evaluated at those four nodes for
-    every family at once.
+    every family at once, on heights scaled by a power of two per family
+    so that no product of them leaves the float range on a thin body.
     """
     import numpy as np
 
@@ -388,12 +389,17 @@ def segment_probabilities(x, bottom, top):
     width = span[1:-1]
     if (width <= 0).any():
         raise ValueError("zero interior slice width")
+    # The split sum and the width product are homogeneous of degree N in
+    # the heights: the ratio, normal-range bits included, does not change.
+    scale = np.ldexp(1.0, -np.frexp(span.max(axis=0))[1])
     # Node axis first: (4, S) node values broadcast against (S,) abscissas.
     up, down = _chord_parts(
-        xbar[1:-1], top[1:-1] - chord[1:-1], chord[1:-1] - bottom[1:-1],
-        np.multiply(_GAUSS_U0, half[0]), np.multiply(_GAUSS_U1, half[-1]))
+        xbar[1:-1], (top[1:-1] - chord[1:-1]) * scale,
+        (chord[1:-1] - bottom[1:-1]) * scale,
+        np.multiply(_GAUSS_U0, half[0] * scale),
+        np.multiply(_GAUSS_U1, half[-1] * scale))
     total = _float_split_sum(len(up))(xbar[1:-1], up, down)
-    return total.mean(axis=0) / width.prod(axis=0)
+    return total.mean(axis=0) / (width * scale).prod(axis=0)
 
 
 def _check_increasing(x, rows):

@@ -293,6 +293,9 @@ def test_rb_memory_does_not_grow_with_samples():
 @pytest.mark.parametrize("body, n, seed", [
     (TRI, 5, 1), (DISK, 5, 2), (SQUARE, 4, 3), (TRI, 3, 4),
     (Ellipse(((3, 1), (1, 2)), (1, -1)), 5, 5),
+    # Thin and tall: a product of three slice heights leaves float64.
+    (triangle((0, 0), (1, 0), (0, Fraction(1, 10**105))), 5, 6),
+    (triangle((0, 0), (1, 0), (0, 10**110)), 5, 7),
 ])
 def test_rb_conditionals_match_exact(body, n, seed):
     rows = np.sort(draw(body, n, 24, seed)[:, :, 0], axis=1)
@@ -335,6 +338,17 @@ def test_float_split_sum_replays_the_recurrence(N):
                           _pivot_recurrence([0, *teeth, 1], heights))
     assert _float_split_sum(N)(xs, up, down).tobytes() == expected.tobytes()
     assert all((a == b).all() for a, b in zip(xs + up + down, copies))
+
+
+@pytest.mark.parametrize("k", [-400, -349, 342, 400])
+def test_rb_estimate_does_not_see_vertical_scale(k):
+    # Q is affine-invariant, and stretching the triangle vertically leaves
+    # its x draws as they are: the estimate is the unit triangle's to the
+    # bit, however thin or tall the body, with no product of N slice
+    # heights leaving the float range.
+    thin_or_tall = triangle((0, 0), (1, 0), (0, Fraction(2) ** k))
+    assert (estimate_Q_rb(thin_or_tall, 5, 20_000, seed=3).estimate
+            == estimate_Q_rb(TRI, 5, 20_000, seed=3).estimate)
 
 
 def test_rb_conditionals_allow_rounding_of_far_bodies():
@@ -673,7 +687,10 @@ def test_input_validation():
 @pytest.mark.parametrize("count", [0, -5])
 def test_impossible_counts_are_rejected(count):
     segs = [VerticalSegment(x, 0, 1) for x in (0, 1, 2)]
-    with pytest.raises(ValueError, match="samples"):
-        estimate_segments(segs, count)
+    for estimate in (lambda: estimate_segments(segs, count),
+                     lambda: estimate_Q(TRI, 4, count),
+                     lambda: estimate_Q_rb(TRI, 4, count)):
+        with pytest.raises(ValueError, match="samples"):
+            estimate()
     with pytest.raises(ValueError, match="workers"):
         estimate_Q(TRI, 4, 100, workers=count)
