@@ -320,6 +320,40 @@ def affine_image(body, matrix, translation=(0, 0)):
     return Ellipse(new_m, _affine(m, t, et))
 
 
+#: b of the normal extent range [2^-b, 2^b] of `normal_image`.  The hull
+#: test multiplies two coordinate differences, which for such a body are
+#: of order 2^(+-2b), far inside the normal float range.
+NORMAL_EXTENT_BITS = 256
+
+
+def normal_image(body):
+    """``body``, or its exact image p -> D.(p - c) if its extent along an
+    axis lies outside [2^-b, 2^b], b = `NORMAL_EXTENT_BITS`: c is the first
+    vertex of a polygon or the centre of a disk or ellipse, and
+    D = diag(2^-ex, 2^-ey), 2^e within a factor 2 of the extent along
+    each axis (a polygon's width, the largest entry of a row of m).
+
+    The estimators draw from this image: Q is affine invariant, so it has
+    the body's law of hits.  Drawn as it is, a tiny body makes the hull
+    test's orientation products subnormal or 0, which fails samples
+    silently, and a huge one overflows.  A body in the normal range is
+    returned as it is, so its draws keep their bits.
+    """
+    if isinstance(body, Polygon):
+        c = body.vertices[0]
+        extents = [max(axis) - min(axis) for axis in zip(*body.vertices)]
+    else:
+        m, c = _frame(body)
+        extents = [max(map(abs, row)) for row in m]
+    bits = [e.numerator.bit_length() - e.denominator.bit_length()
+            for e in extents]
+    if all(abs(e) <= NORMAL_EXTENT_BITS for e in bits):
+        return body
+    scale = [Fraction(2) ** -e for e in bits]
+    return affine_image(body, ((scale[0], 0), (0, scale[1])),
+                        (-scale[0] * c[0], -scale[1] * c[1]))
+
+
 def contains(body, point) -> bool:
     """Closed containment, exact: a float coordinate counts as the
     rational it equals.  ValueError naming the coordinate if it is not a
@@ -381,16 +415,57 @@ def _check_float_area(body, doubled):
                          f"{float(doubled) / 2} in floating point")
 
 
+def _fan_index(cum, keys):
+    """Fan triangle of each key in [0, cum[-1]], ``cum`` the running sums
+    of the triangle areas: the number of entries of ``cum[:-1]`` that are
+    <= the key.  That is ``searchsorted(cum, keys, side="right")``, with a
+    key that rounds up to the total area given to the last triangle.
+
+    The count is a binary search over the sorted fan edges ``cum[:-1]``,
+    padded with +inf to 2^L - 1 entries, run on all keys at once, one
+    level per pass and no branch per key: the index so far holds the high
+    bits of the count, and each level appends the next bit, set if the key
+    is at or above the edge that halves the index's range.  A fan of two
+    triangles takes one compare; a fan of k takes ceil(log2 k) passes.
+    """
+    import numpy as np
+
+    levels = (len(cum) - 1).bit_length()
+    edges = np.full(2 ** levels - 1, np.inf)
+    edges[:len(cum) - 1] = cum[:-1]
+    hit = np.greater_equal(keys, edges[2 ** (levels - 1) - 1])
+    idx = hit.astype(np.intp)
+    edge = np.empty_like(keys)
+    for level in reversed(range(levels - 1)):
+        # The halving edges of the ranges at this level, 2^(level+1) apart.
+        half = 2 ** level
+        np.take(edges[half - 1::2 * half], idx, out=edge, mode="clip")
+        idx <<= 1
+        idx += np.greater_equal(keys, edge, out=hit)
+    return idx
+
+
 def sample_points(body, count, rng) -> np.ndarray:
     """(count, 2) float array of uniform points in the body.
 
-    A polygon is drawn by fan triangle and sorted barycentric pair.  A disk
-    or ellipse {t + m.w : |w| <= 1} is drawn by rejection from the bounding
-    square of the unit disk, with no trigonometry: the first ``count``
-    pairs w = (2u - 1, 2v - 1) of the stream with |w| <= 1, in draw order,
-    mapped by m.w + t.  Raises ValueError if the float image of the body
-    is not a body: an entry is not finite, or its area is not a positive
-    finite float.
+    A polygon is drawn by fan triangle and sorted barycentric pair: u and
+    v from one draw of 2 count uniforms (u's first, the stream of two
+    draws), then one fan key per point.  A key's triangle is the number of
+    running fan areas, the total excepted, at or below it (`_fan_index`):
+    the running areas are sorted, so that is the triangle ``searchsorted``
+    finds.  A disk or ellipse {t + m.w : |w| <= 1} is drawn by rejection
+    from the bounding square of the unit disk, with no trigonometry: the
+    first ``count`` pairs w = (2u - 1, 2v - 1) of the stream with
+    |w| <= 1, in draw order, mapped by m.w + t.  Raises ValueError if the
+    float image of the body is not a body: an entry is not finite, or its
+    area is not a positive finite float.
+
+    The result is a (count, 2) view of planar memory: the transpose of a
+    (2, count) array with x in one row and y in the other.  Each pass over
+    a coordinate then runs in place over one contiguous row, where a
+    (count, 2) array holds it at a 16-byte stride.  The view reshapes to
+    (S, n, 2) without a copy, and the hull test copies the x and y rows it
+    needs out of that.
     """
     import numpy as np
 
@@ -405,55 +480,70 @@ def sample_points(body, count, rng) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             cum = np.cumsum(np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
         _check_float_area(body, cum[-1])
-        u = rng.random(count)
-        v = rng.random(count)
-        lo = np.minimum(u, v)
+        u, v = rng.random(2 * count).reshape(2, count)
+        out = np.empty((2, count))
+        lo = np.minimum(u, v, out=out[1])  # y's row, written last
         mid = np.maximum(u, v, out=u)
         mid -= lo
-        if len(a) == 1:
-            legs = a[0], b[0]
-        else:
-            idx = np.searchsorted(cum, rng.random(count) * cum[-1],
-                                  side="right")
-            # A draw that rounds up to the total area belongs to the last.
-            np.minimum(idx, len(cum) - 1, out=idx)
-            # 1-D take on contiguous columns gathers faster than a[idx, 0].
-            legs = [[col.take(idx) for col in leg.T.copy()] for leg in (a, b)]
-        out = np.empty((count, 2))
         term = v  # v's buffer is free once lo and mid are formed
+        if len(cum) == 1:
+            def leg(edges, i):
+                return edges[0, i]
+        else:
+            keys = rng.random(out=term)
+            keys *= cum[-1]
+            idx = _fan_index(cum, keys)
+
+            def leg(edges, i):
+                # The indices are in range; "clip" skips the copy that
+                # take's bounds check makes.
+                return np.take(edges[:, i], idx, out=term, mode="clip")
         for i in range(2):
             # (v0 + lo.a) + mid.b, the same operations in the same order.
-            coord = np.multiply(lo, legs[0][i], out=out[:, i])
+            coord = np.multiply(lo, leg(a, i), out=out[i])
             coord += v0[i]
-            coord += np.multiply(mid, legs[1][i], out=term)
-        return out
+            coord += np.multiply(mid, leg(b, i), out=term)
+        return out.T
     m, t = _float_frame(body)
     with np.errstate(over="ignore", invalid="ignore"):
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     _check_float_area(body, 2 * np.pi * abs(det))
-    out = np.empty((count, 2))
-    kept = 0
-    while kept < count:
-        # A pair is kept with probability pi/4.  The first round draws its
-        # ``count`` candidates into ``out`` itself; later rounds draw 4/3 of
-        # the points still needed, plus a margin, into a small buffer.
-        need = count - kept
-        w = np.empty((min(count, need * 4 // 3 + 16), 2)) if kept else out
+    # A pair is kept with probability pi/4.  The first round draws its
+    # ``count`` candidates into the memory of ``out`` and squares their
+    # coordinates into two rows of that of ``kept``, where the kept pairs
+    # go next.  Later rounds draw 4/3 of the points still needed, plus a
+    # margin, into a small buffer, and square them into the rows of
+    # ``out``, free by then.
+    kept = np.empty((count, 2))
+    out = np.empty((2, count))
+    w, squares = out.reshape(count, 2), kept.reshape(2, count)
+    done = 0
+    while done < count:
+        need = count - done
+        if done:
+            w = np.empty((min(count, need * 4 // 3 + 16), 2))
+            squares = out[:, :len(w)]
         rng.random(out=w)
         w *= 2
         w -= 1
-        x, y = w[:, 0], w[:, 1]
-        inside = np.flatnonzero(x * x + y * y <= 1)[:need]
-        out[kept:kept + len(inside), 0] = x.take(inside)
-        out[kept:kept + len(inside), 1] = y.take(inside)
-        kept += len(inside)
-    wx = out[:, 0].copy()
-    wy = out[:, 1]
-    # m.w + t over the kept w, row by row (wx is a copy; wy is read before
-    # column 1 is written); for a unit disk it is bit-identical to w + t.
-    for i in range(2):
-        out[:, i] = m[i, 0] * wx + t[i] + m[i, 1] * wy
-    return out
+        radius2, y2 = squares
+        np.multiply(w[:, 0], w[:, 0], out=radius2)
+        radius2 += np.multiply(w[:, 1], w[:, 1], out=y2)
+        inside = np.flatnonzero(radius2 <= 1)[:need]
+        np.take(w, inside, axis=0, out=kept[done:done + len(inside)],
+                mode="clip")
+        done += len(inside)
+    # m.w + t row by row, (m_i0.wx + t_i) + m_i1.wy.  y is the scratch
+    # row of x's last term, and wx, read for the last time, that of y's.
+    wx, wy = kept.T
+    x, y = out
+    np.multiply(wx, m[0, 0], out=x)
+    x += t[0]
+    x += np.multiply(wy, m[0, 1], out=y)
+    np.multiply(wx, m[1, 0], out=y)
+    y += t[1]
+    y += np.multiply(wy, m[1, 1], out=wx)
+    return out.T
 
 
 # -- serialization ---------------------------------------------------------

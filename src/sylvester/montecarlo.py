@@ -286,7 +286,8 @@ def _map_batches(draw, reduce, samples, seed, workers):
 
 
 def _body_draw(body, n):
-    """Draw of ``batch`` n-point samples from the body, as (batch, n, 2)."""
+    """Draw of ``batch`` n-point samples from the body, as (batch, n, 2):
+    a view of the x and y rows that `bodies.sample_points` fills."""
     def draw(batch, rng):
         return bodies.sample_points(body, batch * n, rng).reshape(batch, n, 2)
     return draw
@@ -298,11 +299,12 @@ def _hit_count(pts):
 
 def estimate_Q(body, n, samples, seed=0, workers=1) -> EstimateResult:
     """Plain binomial estimator of the convex-position probability; it
-    depends on (seed, samples) only, and ``workers`` >= 1 caps threads."""
+    depends on (seed, samples) only, and ``workers`` >= 1 caps threads.
+    A body of extreme extent is drawn from its `bodies.normal_image`."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    hits = sum(_map_batches(_body_draw(body, n), _hit_count, samples, seed,
-                            workers))
+    draw = _body_draw(bodies.normal_image(body), n)
+    hits = sum(_map_batches(draw, _hit_count, samples, seed, workers))
     return _binomial_result(n, samples, hits, seed, workers)
 
 
@@ -343,11 +345,15 @@ def estimate_Q_rb(body, n, samples, seed=0, workers=1) -> EstimateResult:
     exact `rb_conditional`.  The returned std_error comes from the sample
     variance of the conditionals (at one sample, 0.5: the largest standard
     deviation of a [0, 1]-valued conditional) and ci95 lies in [0, 1];
-    `hits` is None (there is no underlying indicator count).
+    `hits` is None (there is no underlying indicator count).  A body of
+    extreme extent is drawn, and conditioned on, as its
+    `bodies.normal_image`.
     """
     if n not in (3, 4, 5):
         raise ValueError("conditional estimator supports n in {3, 4, 5}")
     import numpy as np
+
+    body = bodies.normal_image(body)
 
     def moments(pts):
         xs = np.sort(pts[:, :, 0], axis=1)

@@ -16,6 +16,7 @@ from sylvester.bodies import (
     body_to_json,
     contains,
     inscribed_polygon,
+    normal_image,
     sample_points,
     shake,
     slice_bounds,
@@ -337,15 +338,50 @@ def disk_y_bounds(disk, x):
     return cy - h, cy + h
 
 
-def disk_sample_points(disk, count, rng):
-    """The disk draw by rejection, as a separate disk branch computed it:
-    the first ``count`` pairs (2u - 1, 2v - 1) of one long draw that lie in
-    the unit disk, scaled by r and moved to the centre."""
+def unit_disk_pairs(count, rng):
+    """The first ``count`` pairs (2u - 1, 2v - 1) of one long draw that lie
+    in the unit disk."""
     w = 2 * rng.random((3 * count, 2)) - 1
     w = w[(w ** 2).sum(axis=1) <= 1][:count]
     assert len(w) == count
+    return w
+
+
+def disk_sample_points(disk, count, rng):
+    """The disk draw by rejection, as a separate disk branch computed it:
+    `unit_disk_pairs` scaled by r and moved to the centre."""
     c = np.array([float(v) for v in disk.center])
-    return c + float(disk.radius) * w
+    return c + float(disk.radius) * unit_disk_pairs(count, rng)
+
+
+def ellipse_sample_points(ellipse, count, rng):
+    """The ellipse draw by rejection: `unit_disk_pairs` w mapped by
+    (m_i0 w_x + t_i) + m_i1 w_y, coordinate by coordinate."""
+    m = np.array(ellipse.m, dtype=float)
+    t = np.array(ellipse.t, dtype=float)
+    w = unit_disk_pairs(count, rng)
+    return np.column_stack([m[i, 0] * w[:, 0] + t[i] + m[i, 1] * w[:, 1]
+                            for i in range(2)])
+
+
+def polygon_sample_points(polygon, count, rng):
+    """The polygon draw as a binary search over the fan computed it: u,
+    then v, then a fan key per point, whose triangle is the first with a
+    running area above it (``searchsorted``), or the last."""
+    verts = np.array(polygon.vertices, dtype=float)
+    v0 = verts[0]
+    a = verts[1:-1] - v0
+    b = verts[2:] - v0
+    cum = np.cumsum(np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
+    u = rng.random(count)
+    v = rng.random(count)
+    lo = np.minimum(u, v)[:, None]
+    mid = np.maximum(u, v)[:, None] - lo
+    if len(cum) == 1:
+        return (v0 + lo * a[0]) + mid * b[0]
+    idx = np.searchsorted(cum, rng.random(count) * cum[-1], side="right")
+    idx = np.minimum(idx, len(cum) - 1)
+    return (v0 + lo * a[idx]) + mid * b[idx]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -370,6 +406,78 @@ def test_unit_disk_sampling_is_bit_identical():
         got = sample_points(disk, 1000, np.random.default_rng(seed))
         want = disk_sample_points(disk, 1000, np.random.default_rng(seed))
         assert np.array_equal(got, want)
+
+
+def test_ellipse_sampling_is_bit_identical():
+    # Half the ellipses are axis-aligned, and some of those centred at 0,
+    # where the draw drops the zero terms of m.w + t that the oracle adds.
+    rnd = random.Random(12)
+
+    def rational():
+        return Fraction(rnd.randrange(-99, 100), rnd.randrange(1, 30))
+
+    for seed in range(30):
+        m = [[rational(), rational()], [rational(), rational()]]
+        t = [rational(), rational()]
+        if seed % 2:
+            m[0][1] = m[1][0] = 0
+        if seed % 3 == 0:
+            t = [0, 0]
+        if m[0][0] * m[1][1] == m[0][1] * m[1][0]:
+            continue
+        ellipse = Ellipse(m, t)
+        got = sample_points(ellipse, 1000, np.random.default_rng(seed))
+        want = ellipse_sample_points(ellipse, 1000,
+                                     np.random.default_rng(seed))
+        assert (np.ascontiguousarray(got).tobytes()
+                == np.ascontiguousarray(want).tobytes())
+
+
+def test_normal_image_moves_only_bodies_of_extreme_extent():
+    tiny = Fraction(1, 2 ** 300)
+    for body in (TRI, SQUARE, PENTAGON, Disk((1, -2), 3),
+                 Ellipse(((3, 1), (1, 2)), (1, -1)),
+                 triangle((0, 0), (2 ** 256, 0), (0, Fraction(1, 2 ** 256)))):
+        assert normal_image(body) is body
+    assert (normal_image(triangle((1, 1), (1 + tiny, 1), (1, 1 + tiny)))
+            == TRI)
+    assert (normal_image(triangle((0, 0), (2 ** 300 * 3, 0), (0, 1)))
+            == triangle((0, 0), (Fraction(3, 2), 0), (0, 1)))
+    assert (normal_image(Disk((5, 0), 2 ** 400))
+            == Ellipse(((1, 0), (0, 1)), (0, 0)))
+
+
+def test_fan_index_is_the_clamped_searchsorted():
+    # Running areas with ties (triangles of area 0) and keys on the edges,
+    # at 0 and at the total: every fan size from 2 to 70 triangles, and
+    # sizes around the powers of two the search pads to.
+    rng = np.random.default_rng(5)
+    for triangles in [*range(2, 71), 127, 128, 129, 255, 256, 257, 1000]:
+        areas = rng.integers(0, 4, triangles).astype(float)
+        areas[-1] += 1
+        cum = np.cumsum(areas)
+        keys = np.concatenate([cum, [0.0], rng.random(200) * cum[-1]])
+        want = np.minimum(np.searchsorted(cum, keys, side="right"),
+                          triangles - 1)
+        assert np.array_equal(bodies._fan_index(cum, keys), want)
+
+
+@pytest.mark.parametrize("triangles", [1, 2, 3, 62, 300])
+def test_polygon_sampling_matches_the_fan_search(triangles):
+    # A single triangle draws no fan key; 62 and 300 triangles pad the
+    # search to 63 and 511 edges.
+    polygon = {1: TRI, 2: SQUARE, 3: PENTAGON}.get(triangles)
+    if polygon is None:
+        polygon = inscribed_polygon(Disk((1, -2), 3), triangles + 2)
+    assert polygon.n == triangles + 2
+    for count in (1, 7, 8192 * 5):
+        for seed in range(5):
+            got = sample_points(polygon, count, np.random.default_rng(seed))
+            want = polygon_sample_points(polygon, count,
+                                         np.random.default_rng(seed))
+            assert got.shape == (count, 2)
+            assert (np.ascontiguousarray(got).tobytes()
+                    == np.ascontiguousarray(want).tobytes())
 
 
 @pytest.mark.parametrize("body, matrix", [

@@ -290,6 +290,21 @@ def test_rb_memory_does_not_grow_with_samples():
     assert peak(8 * MASK_BLOCK) < 1.25 * peak(MASK_BLOCK)
 
 
+def test_plain_memory_does_not_grow_with_samples():
+    # The square's draws pick a fan triangle per point: eight batches of
+    # them peak where one does.
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            estimate_Q(SQUARE, 5, samples, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    estimate_Q(SQUARE, 5, 10, seed=0)  # one-time allocations
+    assert peak(8 * MASK_BLOCK) < 1.25 * peak(MASK_BLOCK)
+
+
 @pytest.mark.parametrize("body, n, seed", [
     (TRI, 5, 1), (DISK, 5, 2), (SQUARE, 4, 3), (TRI, 3, 4),
     (Ellipse(((3, 1), (1, 2)), (1, -1)), 5, 5),
@@ -340,15 +355,45 @@ def test_float_split_sum_replays_the_recurrence(N):
     assert all((a == b).all() for a, b in zip(xs + up + down, copies))
 
 
-@pytest.mark.parametrize("k", [-400, -349, 342, 400])
+@pytest.mark.parametrize("k", [-600, -537, -530, 512, 600])
+def test_plain_estimate_does_not_see_scale(k):
+    # Q is affine-invariant.  Drawn as it is, a tiny body makes the hull
+    # test's orientation products subnormal or 0, which fails samples
+    # silently, and a huge one overflows; each is drawn from its
+    # `normal_image` instead, and both curved and polygon bodies keep the
+    # unit body's hits.
+    scale = Fraction(2) ** k
+    for unit, scaled in (
+        (TRI, triangle((0, 0), (scale, 0), (0, scale))),
+        (DISK, Disk((0, 0), scale)),
+        (TRI, triangle((0, 0), (1, 0), (0, scale))),
+    ):
+        assert (estimate_Q(scaled, 5, 20_000, seed=3).hits
+                == estimate_Q(unit, 5, 20_000, seed=3).hits)
+
+
+@pytest.mark.parametrize("k", [-400, -349, -250, 250, 342, 400])
 def test_rb_estimate_does_not_see_vertical_scale(k):
     # Q is affine-invariant, and stretching the triangle vertically leaves
     # its x draws as they are: the estimate is the unit triangle's to the
     # bit, however thin or tall the body, with no product of N slice
-    # heights leaving the float range.
+    # heights leaving the float range.  At 2^+-250 the body is drawn as it
+    # is, and beyond 2^+-256 from its `normal_image`.
     thin_or_tall = triangle((0, 0), (1, 0), (0, Fraction(2) ** k))
     assert (estimate_Q_rb(thin_or_tall, 5, 20_000, seed=3).estimate
             == estimate_Q_rb(TRI, 5, 20_000, seed=3).estimate)
+
+
+@pytest.mark.parametrize("k", [-600, -250, 250, 600])
+def test_rb_estimate_does_not_see_horizontal_scale(k):
+    # A power-of-two stretch along x scales the x draws exactly: at
+    # 2^+-250 the body is drawn as it is, and beyond 2^+-256 from its
+    # `normal_image`, where the float body would have no area or overflow.
+    scale = Fraction(2) ** k
+    for unit, scaled in ((TRI, triangle((0, 0), (scale, 0), (0, 1))),
+                         (DISK, Disk((0, 0), scale))):
+        assert (estimate_Q_rb(scaled, 5, 20_000, seed=3).estimate
+                == estimate_Q_rb(unit, 5, 20_000, seed=3).estimate)
 
 
 def test_rb_conditionals_allow_rounding_of_far_bodies():
