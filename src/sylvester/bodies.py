@@ -333,6 +333,10 @@ def normal_image(body):
     D = diag(2^-ex, 2^-ey), 2^e within a factor 2 of the extent along
     each axis (a polygon's width, the largest entry of a row of m).
 
+    e is the bit length of the extent's numerator less that of its
+    denominator, the lcm of the denominators along the axis, so no
+    Fraction is formed.  Unreduced, that is still within a factor 2.
+
     The estimators draw from this image: Q is affine invariant, so it has
     the body's law of hits.  Drawn as it is, a tiny body makes the hull
     test's orientation products subnormal or 0, which fails samples
@@ -341,12 +345,15 @@ def normal_image(body):
     """
     if isinstance(body, Polygon):
         c = body.vertices[0]
-        extents = [max(axis) - min(axis) for axis in zip(*body.vertices)]
+        rows, extent = zip(*body.vertices), lambda nums: max(nums) - min(nums)
     else:
         m, c = _frame(body)
-        extents = [max(map(abs, row)) for row in m]
-    bits = [e.numerator.bit_length() - e.denominator.bit_length()
-            for e in extents]
+        rows, extent = m, lambda nums: max(map(abs, nums))
+    bits = []
+    for row in rows:
+        den = math.lcm(*[v.denominator for v in row])
+        nums = [v.numerator * (den // v.denominator) for v in row]
+        bits.append(extent(nums).bit_length() - den.bit_length())
     if all(abs(e) <= NORMAL_EXTENT_BITS for e in bits):
         return body
     scale = [Fraction(2) ** -e for e in bits]

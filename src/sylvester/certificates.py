@@ -21,8 +21,8 @@ them off the monomials they alone own.
 Each abscissa point of a verify call is a `_Point`: a tuple of its
 abscissas that also carries what the checks derive from x alone, built on
 first use and kept as long as the point.  Those are the Lin helper values
-at x, each evaluated on first read, the slope map lam -> p, beta -> q, and
-the cone table, built row by row.  The points are independent, so
+at x, each evaluated on first read, the slope maps lam -> p and beta -> q,
+and the cone table, built row by row.  The points are independent, so
 `parallel.fork_map` shares them out among the usable CPUs: all the work of
 one point runs in one process, and only the check outcomes, not
 polynomials, come back.  `verify_n5` builds a triple's `_Point` and both
@@ -192,8 +192,14 @@ def _check_structure(diff, N, kind):
 
 
 def to_slope_variables(diff, x):
-    """Rewrite lam/beta in terms of the slope-difference symbols p/q."""
-    return diff.substitute(_point(x).slopes)
+    """Rewrite lam/beta in terms of the slope-difference symbols p/q.
+
+    The lam block is substituted first and the beta block second.  Their
+    values share no symbol, so this is the simultaneous substitution, with
+    smaller products of powers."""
+    for block in _point(x).slopes:
+        diff = diff.substitute(block)
+    return diff
 
 
 def _split_l0_l1(diff):
@@ -287,7 +293,7 @@ HELPERS = _helpers()
 class _Point(tuple):
     """Abscissas that carry the data the checks derive from them alone: the
     Lin helper values at x, each evaluated on first read (`_LinValues`),
-    the slope map lam -> p, beta -> q, and the 18-entry cone table.
+    the slope maps lam -> p and beta -> q, and the 18-entry cone table.
 
     Each field is built on first use and lives as long as the point, so a
     caller that passes one point to several checks builds each table once.
@@ -302,15 +308,16 @@ class _Point(tuple):
 
     @cached_property
     def slopes(self):
-        """lam_j -> its offset in the slope symbols p, beta_j -> in q."""
+        """The blocks ({lam_j: its offset in the slope symbols p},
+        {beta_j: its offset in q})."""
         xbar = [Fraction(0), *self, Fraction(1)]
-        slopes = {}
+        blocks = []
         for stem, symbol in (("lam", "p"), ("beta", "q")):
             profile = [_var(f"{symbol}{j}") for j in range(1, len(self) + 1)]
             offsets = profile_to_offsets(profile, xbar)[1:-1]
-            slopes.update((f"{stem}{j}", offset)
-                          for j, offset in enumerate(offsets, 1))
-        return slopes
+            blocks.append({f"{stem}{j}": offset
+                           for j, offset in enumerate(offsets, 1)})
+        return tuple(blocks)
 
     @cached_property
     def table(self):
@@ -556,6 +563,28 @@ def _simplex_substitution(expr):
 _ELEVATIONS = 4
 
 
+def _homogenized(cube):
+    """(p homogenized in one variable w per axis v, up to the degree of p
+    in v; the lift {w: 1 + v}) of a polynomial p on the cube."""
+    names = sorted(cube.used_variables())
+    degrees = [cube.degree(v) for v in names]
+    homs = [f"{v}'" for v in names]
+    nums, den = cube.with_variables(names).numerators()
+    terms = {e + tuple(d - k for d, k in zip(degrees, e)): c
+             for e, c in nums.items()}
+    return (MultiPoly.from_numerators(names + homs, terms, den),
+            {w: 1 + _var(v) for w, v in zip(homs, names)})
+
+
+def _bernstein_form(cube):
+    """The homogenized ``cube`` with its lift substituted one axis at a
+    time, which builds no product of powers of several 1 + v."""
+    form, lift = _homogenized(cube)
+    for w, value in lift.items():
+        form = form.substitute({w: value})
+    return form
+
+
 def _bernstein_nonnegative(cube):
     """Bernstein certificate that a nonzero ``cube`` p is > 0 on (0, 1)^d.
 
@@ -565,22 +594,15 @@ def _bernstein_nonnegative(cube):
     coefficients of p in the basis prod v^i (1-v)^(d-i) times positive
     binomials, so when all are >= 0, p is a sum of nonnegative monomials in
     the v and 1 - v.  Each multiplication by prod (1 + v) elevates every
-    degree by one."""
-    names = sorted(cube.used_variables())
-    degrees = [cube.degree(v) for v in names]
-    homs = [f"{v}'" for v in names]
-    nums, den = cube.with_variables(names).numerators()
-    terms = {e + tuple(d - k for d, k in zip(degrees, e)): c
-             for e, c in nums.items()}
-    axes = [_var(v) for v in names]
-    form = MultiPoly.from_numerators(names + homs, terms, den).substitute(
-        {w: 1 + v for w, v in zip(homs, axes)}
-    )
-    lift = math.prod(1 + v for v in axes)
-    for _ in range(_ELEVATIONS + 1):
+    degree by one; that product is built only if an elevation is needed."""
+    form = _bernstein_form(cube)
+    if form.has_nonnegative_coefficients():
+        return True
+    lift = math.prod(1 + _var(v) for v in cube.used_variables())
+    for _ in range(_ELEVATIONS):
+        form = form * lift
         if form.has_nonnegative_coefficients():
             return True
-        form = form * lift
     return False
 
 
@@ -690,9 +712,7 @@ def verify_n5(points=None) -> CertificateReport:
     if points is None:
         points = default_x_triples()
     # Built before any fork, so that no child rebuilds a helper polynomial.
-    claims = [*_lin_positivity(HELPERS, "", "on the simplex"),
-              *_prefactor_atoms(),
-              *_lin_positivity(_MINOR_G, "minor ", "factor on the simplex")]
+    claims = _positivity_claims()
 
     def checks_at(x):
         # Both checks of a triple read its one _Point and the two
@@ -732,6 +752,14 @@ def verify_n5_cone(differences) -> CertificateReport:
         }
 
     return _run_checks(differences, checks_at)
+
+
+def _positivity_claims():
+    """The (check name, polynomial) claims of `verify_n5`: the Lin helpers,
+    the prefactor atoms and the Lin factors of the minors."""
+    return [*_lin_positivity(HELPERS, "", "on the simplex"),
+            *_prefactor_atoms(),
+            *_lin_positivity(_MINOR_G, "minor ", "factor on the simplex")]
 
 
 def _lin_positivity(helpers, prefix, whole):
@@ -781,7 +809,9 @@ def verify_n5_quadratic(differences) -> CertificateReport:
         x = _point(x)
         majoration = differences[x][0]
         f1, f2, f3 = _split_l0_l1(majoration)
-        f1_q, _, f3_q = _split_l0_l1(to_slope_variables(majoration, x))
+        # f2 is checked in beta space only, so only l0 f1 + f3 is rewritten.
+        f1_q, _, f3_q = _split_l0_l1(
+            to_slope_variables(majoration.coefficient_poly("l1", 0), x))
         table = x.table
         row1 = {key[1:]: c / x[0] for key, c in table.items() if key[0] == 1}
         checks = {

@@ -33,7 +33,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm, prod
-from operator import mul, or_
+from operator import lshift, mul, or_
 from threading import Lock
 
 from .rationals import format_rational, to_fraction
@@ -74,9 +74,9 @@ def _pack(offsets, exps):
     """The packed monomial of an exponent tuple over fields at ``offsets``."""
     if len(exps) != len(offsets):
         raise ValueError("exponent vector arity mismatch")
-    if not all(0 <= e <= MAX_EXPONENT for e in exps):
+    if exps and (min(exps) < 0 or max(exps) > MAX_EXPONENT):
         raise OverflowError(f"exponents {exps} outside 0..{MAX_EXPONENT}")
-    return sum(e << s for e, s in zip(exps, offsets))
+    return sum(map(lshift, exps, offsets))
 
 
 def _checked(nums):
@@ -95,10 +95,14 @@ def _ratio(value):
 
 
 def _mul_into(out, a, b):
-    """Add the product of two numerator dicts into ``out``, unchecked."""
+    """Add the product of two numerator dicts into ``out``, unchecked.  The
+    inner loop runs over a list of the larger operand's items."""
+    if len(a) < len(b):
+        a, b = b, a
+    items = list(a.items())
     get = out.get
     for e2, c2 in b.items():
-        for e1, c1 in a.items():
+        for e1, c1 in items:
             key = e1 + e2
             out[key] = get(key, 0) + c1 * c2
     return out

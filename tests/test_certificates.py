@@ -331,6 +331,21 @@ def test_verify_n5_cone_perturbed_coefficient(monkeypatch):
     }
 
 
+def test_blockwise_slope_substitution_is_the_simultaneous_one():
+    # The lam block, then the beta block: their values share no symbol, so
+    # in turn they give the simultaneous substitution.
+    for x in default_x_triples():
+        point = certs._Point(x)
+        lam, beta = point.slopes
+        assert set(lam) == {"lam1", "lam2", "lam3"}
+        assert set(beta) == {"beta1", "beta2", "beta3"}
+        assert all(value.used_variables() <= {"p1", "p2", "p3"}
+                   for value in lam.values())
+        for diff in symbolic_difference(point):
+            assert (certs.to_slope_variables(diff, point)
+                    == diff.substitute({**lam, **beta}))
+
+
 def test_no_points_is_an_error():
     with pytest.raises(ValueError):
         verify_n5(points=[])
@@ -447,6 +462,18 @@ def test_bernstein_elevation_cases(monkeypatch):
     assert not certs._bernstein_nonnegative(touches_zero)
     assert first_bernstein_elevation(needs_one) == 1
     assert first_bernstein_elevation(touches_zero) is None
+
+
+def test_per_axis_bernstein_lift_is_the_simultaneous_one():
+    # w = 1 + v substituted one axis at a time, as the certificate does,
+    # against all the w at once, for every claim verify certifies.
+    claims = dict.fromkeys(expr for _, expr in certs._positivity_claims())
+    assert len(claims) == 44
+    for expr in claims:
+        cube = certs._simplex_substitution(expr)
+        form, lift = certs._homogenized(cube)
+        assert len(lift) == len(cube.used_variables())
+        assert certs._bernstein_form(cube) == form.substitute(lift)
 
 
 def test_negative_second_minor_detected():

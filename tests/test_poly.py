@@ -515,6 +515,30 @@ def test_packed_helpers_at_the_edges():
         MultiPoly.from_numerators(("x", "y"), {(1,): 1})
 
 
+def test_pack_range_check():
+    # A negative exponent fits no field, and the empty key is the monomial 1.
+    with pytest.raises(OverflowError):
+        poly._pack([0], (-1,))
+    with pytest.raises(OverflowError):
+        MultiPoly(("x",), {(-1,): 1})
+    assert v("x").terms.get((-1,)) is None
+    assert poly._pack([], ()) == 0
+    assert MultiPoly((), {(): 3}) == 3
+
+
+@PROPERTY
+@given(polys(), polys(), polys())
+def test_mul_into_does_not_depend_on_operand_order(p, q, r):
+    # Either order adds every pair of terms into what ``out`` holds, here
+    # r's numerators, whichever operand is the larger.
+    start = r._nums
+    expected = dict(start)
+    for (e1, c1), (e2, c2) in product(p._nums.items(), q._nums.items()):
+        expected[e1 + e2] = expected.get(e1 + e2, 0) + c1 * c2
+    for a, b in ((p, q), (q, p)):
+        assert poly._mul_into(dict(start), a._nums, b._nums) == expected
+
+
 #: Loads ``sylvester.poly`` alone, so that no import-time table of the
 #: package takes a field first, registers the names given, then runs the
 #: command; prints its exit code and stdout, the field layout, and the repr
