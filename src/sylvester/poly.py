@@ -79,6 +79,12 @@ def _pack(offsets, exps):
     return sum(map(lshift, exps, offsets))
 
 
+def _low_bits(names):
+    """The lowest bit of the field of each named variable in use so far; a
+    name no key has used owns no field and adds nothing."""
+    return sum(1 << _OFFSETS[v] for v in set(names) if v in _OFFSETS)
+
+
 def _checked(nums):
     """``nums``, unless a key, a sum of two in range, reached a guard bit."""
     if reduce(or_, nums, 0) & _GUARD:
@@ -246,15 +252,32 @@ class MultiPoly:
 
     def even_part(self, names):
         """The terms of even degree in every named variable."""
-        odd = sum(1 << _OFFSETS[v] for v in set(names) if v in _OFFSETS)
+        odd = _low_bits(names)
         nums = {e: c for e, c in self._nums.items() if not e & odd}
         return _make(nums, self._den)
 
     def has_odd_total(self, names):
         """Whether the degrees of some term in the named variables add up
         to an odd number: the parity of the key's set low bits there."""
-        low = sum(1 << _OFFSETS[v] for v in set(names) if v in _OFFSETS)
+        low = _low_bits(names)
         return any((e & low).bit_count() & 1 for e in self._nums)
+
+    def even_total_part(self, names):
+        """The terms whose degrees in the named variables add up to an even
+        number: the part that `reflect` fixes."""
+        low = _low_bits(names)
+        nums = {e: c for e, c in self._nums.items()
+                if not (e & low).bit_count() & 1}
+        return _make(nums, self._den)
+
+    def reflect(self, names):
+        """The image under negating every named variable: the terms of odd
+        total degree in them change sign.  A ring automorphism fixing the
+        rationals, and its own inverse."""
+        low = _low_bits(names)
+        nums = {e: -c if (e & low).bit_count() & 1 else c
+                for e, c in self._nums.items()}
+        return _make(nums, self._den, reduce=False)
 
     # -- variable labels ---------------------------------------------------
 

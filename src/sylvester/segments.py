@@ -8,6 +8,18 @@ and (1,0).  The normalized family is described by the trapezoid half-widths
 wider the slice is than the trapezoid) and symmetry defects beta_j (offset of
 the slice middle from the trapezoid midline).  beta = 0 is the symmetrized
 family, beta = lam the shaken one.
+
+The exact integrand sums, over the above/below partitions of the interior
+slices, the comb polynomial of the parts above the chord times that of the
+parts below.  Let sigma negate the chord ordinates u0, u1 and every
+variable in which some slice's part above differs from its part below
+(the beta_j of a general family).  With numeric abscissas the combs have
+rational coefficients, so when sigma maps each part above to the part
+below, the comb of a set of parts below is sigma of the comb of the same
+parts above, and a partition's term and its complement's are each other's
+image: the sum is twice the sigma-even part of the half with the last
+slice above.  `convexity_integrand` takes that half whenever the parts
+allow it, with exact equality of polynomials as the test.
 """
 
 from __future__ import annotations
@@ -221,6 +233,11 @@ def convexity_integrand(xbar, l_plus, l_minus):
     ``l_plus`` and ``l_minus`` list the interior slice parts (indices 1..N)
     as rationals or MultiPoly values; the result is a polynomial in the
     symbols "u0"/"u1" (ordinates of the two extreme points).
+
+    With ``flip`` the variables of the differences up_j - down_j of the
+    parts above and below the chord: if N >= 1 and negating ``flip`` maps
+    every up_j to down_j, the sum is built from half the partitions by
+    `_mirrored_split_sum` (see the module docstring), else mask by mask.
     """
     xbar = [to_fraction(v) for v in xbar]
     if xbar[0] != 0 or xbar[-1] != 1:
@@ -233,6 +250,9 @@ def convexity_integrand(xbar, l_plus, l_minus):
         interior_x, [as_poly(v) for v in l_plus],
         [as_poly(v) for v in l_minus],
         MultiPoly.variable(U0), MultiPoly.variable(U1))
+    flip = set().union(*((u - d).used_variables() for u, d in zip(up, down)))
+    if N and all(u.reflect(flip) == d for u, d in zip(up, down)):
+        return _mirrored_split_sum(interior_x, up, flip)
     return _split_sum(interior_x, up, down, comb_poly)
 
 
@@ -254,15 +274,30 @@ def _split_sum(xs, up, down, comb):
     """Sum over the above/below partitions of the interior slices at ``xs``
     of comb(above parts) * comb(below parts), for a comb function ``comb``
     of (abscissas, tooth lengths) over any number type."""
-    N = len(xs)
+    return sum_of_products(
+        _mask_rows(xs, up, down, comb, range(1 << len(xs))))
 
-    def row(mask):
+
+def _mirrored_split_sum(xs, up, flip):
+    """`_split_sum` with `comb_poly` when negating the variables ``flip``
+    maps each part above the chord to the one below: twice the part even
+    in ``flip`` of the sum over the masks with the last slice above, each
+    with its below comb built from the parts above and reflected."""
+    N = len(xs)
+    rows = _mask_rows(xs, up, up, comb_poly, range(1 << N - 1, 1 << N))
+    half = sum_of_products((a, as_poly(b).reflect(flip)) for a, b in rows)
+    return 2 * half.even_total_part(flip)
+
+
+def _mask_rows(xs, up, down, comb, masks):
+    """(comb(above parts), comb(below parts)) for each mask, whose set bits
+    are the slices above the chord."""
+    N = len(xs)
+    for mask in masks:
         above = [j for j in range(N) if mask >> j & 1]
         below = [j for j in range(N) if not mask >> j & 1]
-        return (comb([xs[j] for j in above], [up[j] for j in above]),
-                comb([xs[j] for j in below], [down[j] for j in below]))
-
-    return sum_of_products(map(row, range(1 << N)))
+        yield (comb([xs[j] for j in above], [up[j] for j in above]),
+               comb([xs[j] for j in below], [down[j] for j in below]))
 
 
 def symmetrized_integrand(xbar, l_plus, l_minus):

@@ -380,6 +380,40 @@ def test_even_part_is_sign_flip_average(p, point, names):
 
 
 @PROPERTY
+@given(polys(), polys(), st.sets(st.sampled_from(NAMES)))
+def test_reflect_is_an_involutive_ring_automorphism(p, q, names):
+    # Negating the named variables: what substituting -v for each v gives,
+    # its own inverse, and compatible with sums and products.
+    names = tuple(names)
+    r = p.reflect(names)
+    assert r == p.substitute({name: -v(name) for name in names})
+    assert r.reflect(names) == p
+    assert (p + q).reflect(names) == r + q.reflect(names)
+    assert (p * q).reflect(names) == r * q.reflect(names)
+
+
+@PROPERTY
+@given(polys(), st.sets(st.sampled_from(NAMES)))
+def test_even_total_part_is_the_reflection_average(p, names):
+    names = tuple(names)
+    even = p.even_total_part(names)
+    assert even == (p + p.reflect(names)) / 2
+    assert even.reflect(names) == even
+    assert p.has_odd_total(names) == (even != p)
+
+
+@PROPERTY
+@given(polys(), st.sets(st.sampled_from(NAMES)))
+def test_unused_names_do_not_reflect(p, names):
+    # A name p does not use, registered or never seen, changes nothing.
+    unused = tuple(set(NAMES) - p.used_variables()) + ("never_a_variable",)
+    assert p.reflect(unused) == p and p.even_total_part(unused) == p
+    names = tuple(names)
+    assert p.reflect(names + unused) == p.reflect(names)
+    assert p.even_total_part(names + unused) == p.even_total_part(names)
+
+
+@PROPERTY
 @given(polys(), st.permutations(NAMES))
 def test_equality_and_hash_ignore_variable_order(p, order):
     terms = {}

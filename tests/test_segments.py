@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sylvester import segments
 from sylvester.segments import (
     CompaError,
     NormalizedFamily,
@@ -216,6 +217,92 @@ def test_convexity_integrand_matches_mask_by_mask_oracle(N):
         g = convexity_integrand(xbar, l_plus, l_minus)
         assert g == split_sum_oracle(xbar, l_plus, l_minus, comb_poly)
         assert g == split_sum_oracle(xbar, l_plus, l_minus, triangulation_comb)
+
+
+def count_mirrored(monkeypatch):
+    """Count the calls `convexity_integrand` makes to the mirrored path."""
+    calls = []
+    original = segments._mirrored_split_sum
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(segments, "_mirrored_split_sum", counted)
+    return calls
+
+
+small = st.fractions(-3, 3, max_denominator=6)
+
+
+@st.composite
+def mirrored_families(draw):
+    """(xbar, l_plus, l_minus) whose parts above and below the chord swap
+    when beta and the chord ordinates are negated: parts top +- defect with
+    top affine in l0, l1 and the lam_j and defect linear in the beta_j, or
+    equal numeric parts."""
+    N = draw(st.integers(1, 4))
+    inner = sorted(draw(st.lists(st.integers(1, 59), min_size=N, max_size=N,
+                                 unique=True)))
+    xbar = [Fraction(0), *(Fraction(k, 60) for k in inner), Fraction(1)]
+    if draw(st.booleans()):
+        parts = [draw(small) for _ in range(N)]
+        return xbar, parts, parts
+    top_names = ("l0", "l1", "lam1", "lam2")
+    beta_names = ("beta1", "beta2")
+
+    def linear(names, constant):
+        return constant + sum(draw(small) * MultiPoly.variable(name)
+                              for name in names)
+
+    top = [linear(top_names, draw(small)) for _ in range(N)]
+    defect = [linear(beta_names, 0) for _ in range(N)]
+    return (xbar, [t + d for t, d in zip(top, defect)],
+            [t - d for t, d in zip(top, defect)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(mirrored_families())
+def test_mirrored_split_sum_matches_mask_by_mask_oracle(family):
+    # Twice the reflection-even part of half the masks is the full sum.
+    xbar, l_plus, l_minus = family
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_mirrored(monkeypatch)
+        g = convexity_integrand(xbar, l_plus, l_minus)
+    assert len(calls) == 1
+    assert g == split_sum_oracle(xbar, l_plus, l_minus, comb_poly)
+
+
+def asymmetric_families(N):
+    """The N interior abscissas and (kind, l_plus, l_minus) families there
+    that the reflection does not map onto themselves."""
+    rnd = random.Random(N)
+    x = [Fraction(j, N + 1) for j in range(1, N + 1)]
+    l0, l1 = MultiPoly.variable("l0"), MultiPoly.variable("l1")
+    lam = [MultiPoly.variable(f"lam{j}") for j in range(1, N + 1)]
+    beta = [MultiPoly.variable(f"beta{j}") for j in range(1, N + 1)]
+    L = [l0 + (l1 - l0) * xj for xj in x]
+    numeric = [Fraction(rnd.randint(1, 9), 4) for _ in range(N)]
+    # One slice differs: the others alone would be mirrored.
+    other = numeric[:-1] + [numeric[-1] + Fraction(1, 3)]
+    shared = [t + beta[0] for t in L]
+    return x, [
+        ("shaken", [t + 2 * a for t, a in zip(L, lam)], L),
+        ("numeric", numeric, other),
+        ("defect in top", [t + b for t, b in zip(shared, beta)],
+         [t - b for t, b in zip(shared, beta)]),
+    ]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_asymmetric_families_keep_the_full_split_sum(monkeypatch, N):
+    calls = count_mirrored(monkeypatch)
+    x, families = asymmetric_families(N)
+    xbar = [Fraction(0), *x, Fraction(1)]
+    for kind, l_plus, l_minus in families:
+        g = convexity_integrand(xbar, l_plus, l_minus)
+        assert not calls, kind
+        assert g == split_sum_oracle(xbar, l_plus, l_minus, comb_poly), kind
 
 
 #: Normalized abscissa grids 0 = xbar_0 < ... < xbar_{N+1} = 1, N <= 4.
